@@ -22,9 +22,10 @@ import time
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_config
+from .config import _SOLVER_METHODS, ConfigError, RunConfig, parse_config
 from .solvers import (
     ORACLE_MAX_N,
+    SOLVERS,
     PenaltyParams,
     ProblemSpec,
     Solution,
@@ -34,10 +35,7 @@ from .solvers import (
     kkt_violation,
     make_solution,
     reduce_to_zero_forcing,
-    solve_active_set,
     solve_penalty,
-    solve_projected_gradient,
-    solve_psor,
 )
 from .verify import (
     Report,
@@ -118,12 +116,8 @@ def run_single(spec: ProblemSpec, method: str, params: SolverParams,
     nonnegative-obstacle problem, and reconstructs the original solution by
     adding the shift back.
     """
-    if method == "psor":
-        return solve_psor(spec, params), None
-    if method == "pg":
-        return solve_projected_gradient(spec, params), None
-    if method == "activeset":
-        return solve_active_set(spec, params), None
+    if method in SOLVERS:
+        return SOLVERS[method](spec, params), None
     if method == "penalty":
         pparams = penalty_params or PenaltyParams()
         reduced = reduce_to_zero_forcing(spec)
@@ -155,7 +149,7 @@ def _base_record(command: str, cfg: RunConfig) -> dict:
 
 
 def _solution_fields(spec: ProblemSpec, sol: Solution, extras: dict | None) -> dict:
-    fields = {
+    return {
         "solver_id": sol.solver_id,
         "converged": sol.converged,
         "iterations": sol.iterations,
@@ -166,18 +160,8 @@ def _solution_fields(spec: ProblemSpec, sol: Solution, extras: dict | None) -> d
         "residual": sol.residual,
         "active_set": [int(i) for i in sol.active_set],
         "energy": spec.op.energy(sol.u, spec.f),
+        "penalty": extras,
     }
-    if extras is not None:
-        fields["penalty"] = {
-            "epsilon": extras["epsilon"],
-            "outer_iterations": extras["outer_iterations"],
-            "damping_used": extras["damping_used"],
-            "max_gap": extras["max_gap"],
-            "u_eps": extras["u_eps"],
-        }
-    else:
-        fields["penalty"] = None
-    return fields
 
 
 def _write_json(record: dict, path: str | None, started: float):
@@ -186,6 +170,16 @@ def _write_json(record: dict, path: str | None, started: float):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(dumps(record))
             fh.write("\n")
+
+
+def _solver_failure(record: dict, exc: SolverError, path: str | None,
+                    started: float) -> int:
+    """Write the partial record, without reports, with its error field."""
+    record.setdefault("reports", [])
+    record["error"] = str(exc)
+    _write_json(record, path, started)
+    print(f"solver failure: {exc}", file=sys.stderr)
+    return 3
 
 
 def _write_solution_csv(path: str, spec: ProblemSpec, sol: Solution):
@@ -216,11 +210,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         sol = best if isinstance(best, Solution) else make_solution(
             spec, spec.default_start(), 0, cfg.solver_method, False, cfg.solver_params)
         record.update(_solution_fields(spec, sol, None))
-        record["reports"] = []
-        record["error"] = str(exc)
-        _write_json(record, cfg.output_json, started)
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
+        return _solver_failure(record, exc, cfg.output_json, started)
     record.update(_solution_fields(spec, sol, extras))
     record["reports"] = []
     _write_json(record, cfg.output_json, started)
@@ -253,16 +243,20 @@ def _verify_reports(cfg: RunConfig, spec: ProblemSpec, u: np.ndarray) -> list[Re
     return reports
 
 
+def _oracle_deviations(spec: ProblemSpec, oracle: Solution,
+                       params: SolverParams) -> dict[str, float]:
+    """Max-norm distance of each solver's solution from the oracle's."""
+    return {name: float(np.abs(solver(spec, params).u - oracle.u).max())
+            for name, solver in SOLVERS.items()}
+
+
 def _oracle_agreement_report(cfg: RunConfig, spec: ProblemSpec) -> Report:
     oracle = brute_force_oracle(spec, cfg.solver_params)
-    worst, worst_k = -np.inf, 0
-    for k, solver in enumerate((solve_psor, solve_projected_gradient, solve_active_set)):
-        dev = float(np.abs(solver(spec, cfg.solver_params).u - oracle.u).max())
-        if dev > worst:
-            worst, worst_k = dev, k
+    deviations = list(_oracle_deviations(spec, oracle, cfg.solver_params).values())
+    worst = max(deviations)
     return Report(check_id="oracle_agreement", passed=worst <= ORACLE_AGREE_TOL,
-                  worst_violation=worst, worst_index_or_sample=worst_k,
-                  samples=3, seed=cfg.seed, tol=ORACLE_AGREE_TOL)
+                  worst_violation=worst, worst_index_or_sample=deviations.index(worst),
+                  samples=len(deviations), seed=cfg.seed, tol=ORACLE_AGREE_TOL)
 
 
 def cmd_verify(cfg: RunConfig, inject_corruption: bool = False) -> int:
@@ -272,20 +266,16 @@ def cmd_verify(cfg: RunConfig, inject_corruption: bool = False) -> int:
     try:
         sol, extras = run_single(spec, cfg.solver_method, cfg.solver_params,
                                  cfg.penalty_params)
-    except SolverError as exc:
-        record["reports"] = []
-        record["error"] = str(exc)
-        _write_json(record, cfg.output_json, started)
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-    u = sol.u.copy()
-    if inject_corruption:
-        u[spec.n // 2] = spec.psi[spec.n // 2] - 1.0
-    reports = _verify_reports(cfg, spec, u)
-    if spec.n <= 12:
-        reports.append(_oracle_agreement_report(cfg, spec))
-    record.update(_solution_fields(spec, sol, extras))
-    record["corrupted"] = inject_corruption
+        u = sol.u.copy()
+        if inject_corruption:
+            u[spec.n // 2] = spec.psi[spec.n // 2] - 1.0
+        record.update(_solution_fields(spec, sol, extras))
+        record["corrupted"] = inject_corruption
+        reports = _verify_reports(cfg, spec, u)
+        if spec.n <= 12:
+            reports.append(_oracle_agreement_report(cfg, spec))
+    except SolverError as exc:  # in the main solve or in a checker's solves
+        return _solver_failure(record, exc, cfg.output_json, started)
     record["reports"] = [r.as_dict() for r in reports]
     _write_json(record, cfg.output_json, started)
     print(f"{'check':<26}{'result':<8}{'worst_violation':<18}{'tol':<10}")
@@ -313,16 +303,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
         row = {c: "" for c in SWEEP_COLUMNS}
         row["axis"], row["value"] = cfg.sweep_axis, value
         try:
-            if cfg.sweep_axis == "s":
-                spec = cfg.build_problem(s=float(value))
-                method = cfg.solver_method
-                pparams = cfg.penalty_params
-            elif cfg.sweep_axis == "n":
-                spec = cfg.build_problem(n=int(value))
-                method = cfg.solver_method
-                pparams = cfg.penalty_params
-            else:  # epsilon axis always exercises the penalty route
-                spec = cfg.build_problem()
+            spec = cfg.build_problem(
+                s=float(value) if cfg.sweep_axis == "s" else None,
+                n=int(value) if cfg.sweep_axis == "n" else None)
+            method, pparams = cfg.solver_method, cfg.penalty_params
+            if cfg.sweep_axis == "epsilon":  # always exercises the penalty route
                 method = "penalty"
                 base = cfg.penalty_params or PenaltyParams()
                 pparams = PenaltyParams(epsilon=float(value),
@@ -364,13 +349,13 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     spec = cfg.build_problem()
     record = _base_record("oracle-check", cfg)
     oracle = brute_force_oracle(spec, cfg.solver_params)
-    deviations = {}
-    for name, solver in (("psor", solve_psor), ("pg", solve_projected_gradient),
-                         ("activeset", solve_active_set)):
-        deviations[name] = float(np.abs(solver(spec, cfg.solver_params).u - oracle.u).max())
-    worst = max(deviations.values())
     record.update(_solution_fields(spec, oracle, None))
     record["reports"] = []
+    try:
+        deviations = _oracle_deviations(spec, oracle, cfg.solver_params)
+    except SolverError as exc:
+        return _solver_failure(record, exc, cfg.output_json, started)
+    worst = max(deviations.values())
     record["oracle_deviations"] = deviations
     record["oracle_agree_tol"] = ORACLE_AGREE_TOL
     _write_json(record, cfg.output_json, started)
@@ -398,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", help="JSON result path")
         p.add_argument("--seed", type=int, metavar="INT",
                        help="override the config seed")
-        p.add_argument("--solver", choices=["psor", "pg", "activeset", "penalty"],
+        p.add_argument("--solver", choices=_SOLVER_METHODS,
                        help="override solver.method")
 
     p_solve = sub.add_parser("solve", help="solve one obstacle problem")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operator import Grid, assemble_operator
-from .solvers import PenaltyParams, ProblemSpec, SolverParams
+from .solvers import SOLVERS, PenaltyParams, ProblemSpec, SolverParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text"]
 
@@ -106,7 +106,7 @@ _PENALTY_SCHEMA = {
     "penalty.max_outer": (_parse_int, 500_000),
 }
 
-_SOLVER_METHODS = ("psor", "pg", "activeset", "penalty")
+_SOLVER_METHODS = (*SOLVERS, "penalty")
 _SWEEP_AXES = ("s", "n", "epsilon")
 
 

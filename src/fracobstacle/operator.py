@@ -33,6 +33,9 @@ from math import pi, sqrt
 
 import numpy as np
 from scipy.special import gamma
+# Imported after scipy.special so that import-time profiles still charge
+# scipy.special with the scipy modules the two share.
+import scipy.linalg
 
 __all__ = [
     "Grid",
@@ -104,6 +107,10 @@ class FracLapOperator:
     K >= 0; row dominance is strict with margin tail(i) + tail(n+1-i) > 0
     (the exterior mass).  Instances are immutable after assembly and safely
     shareable across threads; apply/energy are pure and reentrant.
+
+    The stencil behind column() and dense(), the FFT symbol and the Cholesky
+    factor are cached read-only on first use; threads racing on a first use
+    compute identical values, so sharing stays safe.
     """
 
     grid: Grid
@@ -117,25 +124,38 @@ class FracLapOperator:
         return (self.c_ker / (2.0 * self.s)) * ((np.asarray(K) - 0.5) * self.grid.h) ** (-2.0 * self.s)
 
     @cached_property
-    def _first_column(self) -> np.ndarray:
-        col = np.zeros(self.grid.n)
-        col[0] = self.diag
-        col[1:] = -self.weights
-        return col
+    def _stencil(self) -> np.ndarray:
+        # [A_{n-1,0} ... A_{0,0} ... A_{0,n-1}]; A_ji = stencil[n-1+j-i].
+        off = -self.weights
+        stencil = np.concatenate([off[::-1], [self.diag], off])
+        stencil.flags.writeable = False
+        return stencil
+
+    def column(self, i: int) -> np.ndarray:
+        """Column i of A as a read-only view of the stencil; no copy."""
+        n = self.grid.n
+        if not 0 <= i < n:
+            raise IndexError(f"column index {i} out of range for n={n}")
+        return self._stencil[n - 1 - i : 2 * n - 1 - i]
 
     @cached_property
     def _circulant_symbol(self) -> np.ndarray:
         # Embed the symmetric Toeplitz matrix in a circulant of size 2n.
-        col = self._first_column
+        col = self.column(0)
         circ = np.concatenate([col, [0.0], col[:0:-1]])
         return np.fft.rfft(circ)
 
+    @cached_property
+    def cholesky(self) -> tuple[np.ndarray, bool]:
+        """Cholesky factor of dense() as cho_factor returns it; O(n^2) memory."""
+        c, lower = scipy.linalg.cho_factor(self.dense())
+        c.flags.writeable = False
+        return c, lower
+
     def dense(self) -> np.ndarray:
         """Full matrix; O(n^2) memory, used by direct solvers and oracles."""
-        n = self.grid.n
-        idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-        col = self._first_column
-        return col[idx]
+        # Row i equals column i: A is symmetric.
+        return np.array([self.column(i) for i in range(self.grid.n)])
 
     def apply(self, v) -> np.ndarray:
         """Matvec A v.

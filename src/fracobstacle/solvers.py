@@ -46,6 +46,7 @@ __all__ = [
     "solve_active_set",
     "solve_penalty",
     "brute_force_oracle",
+    "SOLVERS",
 ]
 
 # Linear systems up to this size are solved by dense factorization.
@@ -231,16 +232,16 @@ def solve_linear(op: FracLapOperator, f, tol: float = 1e-12,
                  max_iter: int = 20_000) -> np.ndarray:
     """Solve A w = f (the obstacle-free problem) to relative residual tol.
 
-    Dense Cholesky for n <= DENSE_LIMIT, conjugate gradients above.  Since
-    A^{-1} is entrywise positive, f >= 0 implies w >= 0 (discrete weak
-    maximum principle).
+    For n <= DENSE_LIMIT this back-substitutes with the operator's cached
+    Cholesky factor (factored once per operator); above, conjugate
+    gradients.  Since A^{-1} is entrywise positive, f >= 0 implies w >= 0
+    (discrete weak maximum principle).
     """
     f = op.grid.check_vector(f)
     if not np.isfinite(f).all():
         raise ValueError("right-hand side must be finite")
     if op.grid.n <= DENSE_LIMIT:
-        c, low = scipy.linalg.cho_factor(op.dense())
-        return scipy.linalg.cho_solve((c, low), f)
+        return scipy.linalg.cho_solve(op.cholesky, f)
     lin = scipy.sparse.linalg.LinearOperator(
         shape=(op.grid.n, op.grid.n), matvec=op.apply, dtype=float)
     w, info = scipy.sparse.linalg.cg(lin, f, rtol=tol, atol=0.0, maxiter=max_iter)
@@ -273,7 +274,6 @@ def solve_psor(spec: ProblemSpec, params: SolverParams | None = None) -> Solutio
     op, psi, f = spec.op, spec.psi, spec.f
     n, D, omega = spec.n, op.diag, params.relaxation
     u = spec.default_start()
-    cols = op.dense().T if n <= 4 * DENSE_LIMIT else None
     for sweep in range(1, params.max_iter + 1):
         z = op.apply(u)
         for i in range(n):
@@ -282,10 +282,7 @@ def solve_psor(spec: ProblemSpec, params: SolverParams | None = None) -> Solutio
             delta = new - u[i]
             if delta != 0.0:
                 u[i] = new
-                if cols is not None:
-                    z += delta * cols[i]
-                else:
-                    z += delta * _toeplitz_column(op, i)
+                z += delta * op.column(i)
         viol, _ = kkt_violation(spec, u)
         if viol <= params.tol:
             return make_solution(spec, u, sweep, "psor", True, params)
@@ -294,17 +291,6 @@ def solve_psor(spec: ProblemSpec, params: SolverParams | None = None) -> Solutio
     raise IterationLimitError(
         f"PSOR did not reach tol {params.tol:g} in {params.max_iter} sweeps "
         f"(violation {viol:.3e})", best=best, violation=viol)
-
-
-def _toeplitz_column(op: FracLapOperator, i: int) -> np.ndarray:
-    n = op.grid.n
-    col = np.empty(n)
-    col[i] = op.diag
-    if i > 0:
-        col[:i] = -op.weights[i - 1 :: -1]
-    if i < n - 1:
-        col[i + 1 :] = -op.weights[: n - 1 - i]
-    return col
 
 
 def solve_projected_gradient(spec: ProblemSpec, params: SolverParams | None = None) -> Solution:
@@ -379,15 +365,26 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
     return replace(fallback, solver_id="active_set(psor_fallback)")
 
 
-def _spectral_radius_estimate(solve: Callable[[np.ndarray], np.ndarray],
-                              scale: np.ndarray, n: int, iters: int = 60) -> float:
+# Obstacle solvers by method name, in the order the CLI reports them.  The
+# entries call the module functions by name at call time, so a wrapper
+# installed on this module (a profiler, a test double) sees every call.
+SOLVERS = {
+    "psor": lambda spec, params: solve_psor(spec, params),
+    "pg": lambda spec, params: solve_projected_gradient(spec, params),
+    "activeset": lambda spec, params: solve_active_set(spec, params),
+}
+
+
+def _spectral_radius_estimate(op: FracLapOperator, scale: np.ndarray,
+                              iters: int = 60) -> float:
     """Power iteration on v -> A^{-1}(scale * v); scale >= 0."""
     if scale.max() <= 0.0:
         return 0.0
+    n = op.grid.n
     v = np.ones(n) / np.sqrt(n)
     rho = 0.0
     for _ in range(iters):
-        w = solve(scale * v)
+        w = solve_linear(op, scale * v)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
@@ -430,17 +427,12 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
     reduced = ProblemSpec(op=op, psi=psi_plus, f=np.zeros(n))
     exact = solve_psor(reduced, params)
 
-    cho = scipy.linalg.cho_factor(op.dense())
-
-    def solve(b):
-        return scipy.linalg.cho_solve(cho, b)
-
     q = np.maximum(op.apply(psi_plus), 0.0)
     theta = penalty_params.theta
     eps = penalty_params.epsilon
 
-    ainv_norm = float(solve(np.ones(n)).max())  # ||A^{-1}||_inf, A^{-1} > 0
-    rho = _spectral_radius_estimate(solve, q, n)
+    ainv_norm = float(solve_linear(op, np.ones(n)).max())  # ||A^{-1}||_inf, A^{-1} > 0
+    rho = _spectral_radius_estimate(op, q)
     lip = penalty_params.lipschitz_bound()
     d = min(penalty_params.picard_damping, 1.8 / (1.0 + rho * lip))
 
@@ -479,7 +471,7 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
             raise IterationLimitError(
                 f"penalty Picard exceeded max_outer={penalty_params.max_outer} "
                 f"(residual {res:.3e})", best=best_iterate, violation=res)
-        u_eps = (1.0 - d) * u_eps + d * solve(rhs)
+        u_eps = (1.0 - d) * u_eps + d * solve_linear(op, rhs)
         it += 1
 
     slack = 10.0 * params.tol

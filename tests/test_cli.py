@@ -245,6 +245,35 @@ def test_exit_3_on_iteration_limit(tmp_path):
     assert "error" in record
 
 
+def test_exit_3_when_a_checker_solve_hits_iteration_limit(tmp_path, capsys):
+    # The main solve converges at once (u = 0); the PSOR solves inside the
+    # comparison checker (n > 512) cannot finish in five sweeps.
+    text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 520")
+    text = text.replace("obstacle.preset = bump\nobstacle.c = 0.5\nobstacle.d = 4.0\n"
+                        "obstacle.m = 0.5\n", "obstacle.preset = negative\nobstacle.c = 0.01\n")
+    text = text.replace("solver.method = activeset", "solver.method = psor")
+    text += "\nsolver.max_iter = 5\nverify.samples = 2\n"
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "out.json")
+    assert main(["verify", "--config", cfg, "--out", out]) == 3
+    assert "solver failure:" in capsys.readouterr().err
+    record = load_record(out)
+    assert record["converged"] is True
+    assert record["reports"] == []
+    assert "PSOR" in record["error"]
+
+
+def test_exit_3_when_oracle_check_solver_hits_iteration_limit(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG + "\nsolver.max_iter = 1\n")
+    out = str(tmp_path / "out.json")
+    assert main(["oracle-check", "--config", cfg, "--out", out]) == 3
+    assert "solver failure:" in capsys.readouterr().err
+    record = load_record(out)
+    assert record["solver_id"] == "oracle"
+    assert "oracle_deviations" not in record
+    assert "error" in record
+
+
 def test_exit_4_on_injected_corruption(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["verify", "--config", cfg, "--inject-corruption"]) == 4
@@ -380,11 +409,30 @@ def test_solve_with_sine_forcing(tmp_path):
 
 # --- golden file ---------------------------------------------------------------------------
 
-def test_golden_record(tmp_path):
-    golden_path = DATA_DIR / "golden_solve.json"
-    cfg = write_config(tmp_path, (DATA_DIR / "golden_solve.cfg").read_text())
+# Each golden output was written by the CLI from its config in tests/data;
+# any change to a number, a key or the key order shows up here.
+GOLDEN_CASES = {
+    "solve": ("solve", "golden_solve.cfg", (), "golden_solve.json"),
+    "verify": ("verify", "golden_verify.cfg", (), "golden_verify.json"),
+    "penalty": ("solve", "golden_penalty.cfg", ("--solver", "penalty"),
+                "golden_penalty.json"),
+    "oracle-check": ("oracle-check", "golden_oracle.cfg", (), "golden_oracle.json"),
+    "sweep": ("sweep", "golden_sweep.cfg", (), "golden_sweep.csv"),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_CASES))
+def test_golden_record(tmp_path, case):
+    command, cfg_name, extra, golden_name = GOLDEN_CASES[case]
+    golden_path = DATA_DIR / golden_name
+    cfg = write_config(tmp_path, (DATA_DIR / cfg_name).read_text())
+    if golden_path.suffix == ".csv":
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--csv", str(out), *extra]) == 0
+        assert out.read_text() == golden_path.read_text()
+        return
     out = str(tmp_path / "out.json")
-    assert main(["solve", "--config", cfg, "--out", out]) == 0
+    assert main([command, "--config", cfg, "--out", out, *extra]) == 0
     produced = strip_timing(load_record(out))
     golden = strip_timing(json.loads(golden_path.read_text()))
     assert dumps(produced) == dumps(golden)

@@ -99,6 +99,23 @@ def test_m_matrix_strict_dominance_with_exterior_margin():
         np.testing.assert_allclose(margins, expected, rtol=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_column_is_readonly_view_of_dense_column(n):
+    op = make_op(n=n, s=0.3)
+    A = op.dense()
+    for i in range(n):
+        col = op.column(i)
+        np.testing.assert_array_equal(col, A[:, i])
+        assert not col.flags.writeable
+
+
+def test_column_rejects_out_of_range_index():
+    op = make_op(n=4)
+    for i in (-1, 4):
+        with pytest.raises(IndexError):
+            op.column(i)
+
+
 # --- apply ---------------------------------------------------------------------
 
 def test_apply_zero_vector():

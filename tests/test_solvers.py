@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracobstacle import (
     IterationLimitError,
@@ -10,6 +11,8 @@ from fracobstacle import (
     ProblemSpec,
     SolverParams,
     brute_force_oracle,
+    check_lewy_stampacchia,
+    check_smallest_supersolution,
     kkt_violation,
     reduce_to_zero_forcing,
     solve_active_set,
@@ -106,6 +109,25 @@ def test_solve_linear_cg_path_above_dense_limit():
     f = rng.normal(size=600)
     w = solve_linear(op, f, tol=1e-10)
     assert np.linalg.norm(op.apply(w) - f) <= 1e-9 * np.linalg.norm(f)
+
+
+def test_dense_factor_computed_once_per_operator(monkeypatch):
+    calls = []
+    real = scipy.linalg.cho_factor
+
+    def counting_cho_factor(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting_cho_factor)
+    spec = random_instance(21, n=32, s=0.5)
+    u = solve_active_set(spec, PARAMS).u
+    reduced = reduce_to_zero_forcing(spec)
+    check_lewy_stampacchia(spec, u)
+    check_smallest_supersolution(spec, u, samples=20)
+    zero_forcing = ProblemSpec(op=spec.op, psi=reduced.psi_reduced, f=np.zeros(32))
+    solve_penalty(zero_forcing, PenaltyParams(epsilon=1e-2), PARAMS)
+    assert len(calls) == 1
 
 
 def test_solve_linear_rejects_nonfinite():
