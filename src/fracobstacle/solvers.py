@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .operator import FracLapOperator
 
@@ -51,6 +50,10 @@ __all__ = [
 
 # Linear systems up to this size are solved by dense factorization.
 DENSE_LIMIT = 512
+# Iteration budget of each preconditioned conjugate-gradient solve.
+PCG_MAX_ITER = 20_000
+# Relative residual of the active set's free-block solves above DENSE_LIMIT.
+_FREE_BLOCK_TOL = 1e-15
 # Brute-force enumeration is restricted to 2^n candidate active sets.
 ORACLE_MAX_N = 14
 
@@ -228,28 +231,63 @@ def make_solution(spec: ProblemSpec, u, iterations: int, solver_id: str,
                     converged=converged, energy_trace=energy_trace)
 
 
+def _pcg(matvec, precondition, b: np.ndarray, x0: np.ndarray | None,
+         tol: float, max_iter: int) -> np.ndarray:
+    """Preconditioned conjugate gradients for an SPD system M x = b.
+
+    Stops once the recursively updated residual satisfies
+    ||b - M x||_2 <= tol ||b||_2.  Starts from x0 when that beats x = 0
+    (||b - M x0|| < ||b||), else from 0.  Iterates on the system scaled by
+    max|b|, so that tiny or huge data neither underflow nor overflow.
+    """
+    if not b.any():
+        return np.zeros_like(b)
+    scale = float(np.abs(b).max())
+    b = b / scale
+    x, r = np.zeros_like(b), b.copy()
+    if x0 is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = x0 / scale
+            ry = b - matvec(y)
+            if np.linalg.norm(ry) < np.linalg.norm(b):
+                x, r = y, ry
+    stop = tol * np.linalg.norm(b)
+    if np.linalg.norm(r) <= stop:
+        return x * scale
+    z = precondition(r)
+    p = z.copy()
+    rz = float(np.dot(r, z))
+    for _ in range(max_iter):
+        q = matvec(p)
+        alpha = rz / float(np.dot(p, q))
+        x += alpha * p
+        r -= alpha * q
+        if np.linalg.norm(r) <= stop:
+            return x * scale
+        z = precondition(r)
+        rz, rz_old = float(np.dot(r, z)), rz
+        p = z + (rz / rz_old) * p
+    raise IterationLimitError(
+        f"preconditioned conjugate gradients did not reach relative residual "
+        f"{tol:g} within {max_iter} iterations", best=x * scale)
+
+
 def solve_linear(op: FracLapOperator, f, tol: float = 1e-12,
-                 max_iter: int = 20_000) -> np.ndarray:
+                 max_iter: int = PCG_MAX_ITER) -> np.ndarray:
     """Solve A w = f (the obstacle-free problem) to relative residual tol.
 
     For n <= DENSE_LIMIT this back-substitutes with the operator's cached
-    Cholesky factor (factored once per operator); above, conjugate
-    gradients.  Since A^{-1} is entrywise positive, f >= 0 implies w >= 0
-    (discrete weak maximum principle).
+    Cholesky factor (factored once per operator).  Above, conjugate
+    gradients preconditioned by the Strang circulant (op.strang_solve) run
+    on FFT matvecs.  Since A^{-1} is entrywise positive, f >= 0 implies
+    w >= 0 (discrete weak maximum principle).
     """
     f = op.grid.check_vector(f)
     if not np.isfinite(f).all():
         raise ValueError("right-hand side must be finite")
     if op.grid.n <= DENSE_LIMIT:
         return scipy.linalg.cho_solve(op.cholesky, f)
-    lin = scipy.sparse.linalg.LinearOperator(
-        shape=(op.grid.n, op.grid.n), matvec=op.apply, dtype=float)
-    w, info = scipy.sparse.linalg.cg(lin, f, rtol=tol, atol=0.0, maxiter=max_iter)
-    if info > 0:
-        raise IterationLimitError(
-            f"conjugate gradients did not reach relative residual {tol:g} "
-            f"within {max_iter} iterations", best=w)
-    return w
+    return _pcg(op.apply, op.strang_solve, f, None, tol, max_iter)
 
 
 def reduce_to_zero_forcing(spec: ProblemSpec, tol: float = 1e-12) -> ZeroForcingReduction:
@@ -324,45 +362,77 @@ def solve_projected_gradient(spec: ProblemSpec, params: SolverParams | None = No
         best=best, violation=viol)
 
 
+def _free_block_pcg(op: FracLapOperator, free: np.ndarray, psi: np.ndarray,
+                    f: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Solve A_FF x = f_F - A_FS psi_S matrix-free, warm-started at start_F.
+
+    Every product zero-extends a free-block vector to the grid, applies the
+    full operator (FFT matvec) or the Strang circulant inverse, and restricts
+    back to the free nodes F; S is the complement of F.
+    """
+    def extend(x):
+        y = np.zeros(op.grid.n)
+        y[free] = x
+        return y
+
+    rhs = (f - op.apply(np.where(free, 0.0, psi)))[free]
+    return _pcg(lambda x: op.apply(extend(x))[free],
+                lambda r: op.strang_solve(extend(r))[free],
+                rhs, start[free], _FREE_BLOCK_TOL, PCG_MAX_ITER)
+
+
 def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> Solution:
     """Primal active-set iteration with exact complementarity at the end.
 
-    Guess the active set S, pin u = psi on S, solve the free block exactly,
-    then move primal-infeasible free nodes into S and dual-infeasible active
-    nodes out.  For M-matrices this terminates in a few passes; on cycle
-    detection the PSOR result is returned instead (solver_id records the
-    fallback).
+    Guess the active set S, pin u = psi on S, solve the free block, then
+    move primal-infeasible free nodes into S and dual-infeasible active
+    nodes out.  For n <= DENSE_LIMIT the free block is sliced from the dense
+    matrix and solved directly; above, it is solved matrix-free by
+    Strang-preconditioned conjugate gradients, warm-started from the
+    previous pass.  For M-matrices this terminates in a few passes; on
+    cycle detection the PSOR result is returned instead (solver_id records
+    the fallback).  params.max_iter bounds the number of passes; running
+    out raises IterationLimitError with the iterate of least KKT violation.
     """
     params = params or SolverParams()
     op, psi, f = spec.op, spec.psi, spec.f
     n = spec.n
-    if n > DENSE_LIMIT:
-        raise ValueError(f"active-set solver requires n <= {DENSE_LIMIT}, got {n}")
-    A = op.dense()
+    A = op.dense() if n <= DENSE_LIMIT else None
     active = np.zeros(n, dtype=bool)
     seen = set()
+    u = psi.copy()
+    best, best_viol = u, np.inf
     # Classification slop at machine scale of the block solves.
     eps = 1e-12 * (1.0 + float(np.abs(psi).max()) + float(np.abs(f).max()))
-    for it in range(1, max(64, 2 * n) + 1):
+    for it in range(1, params.max_iter + 1):
         key = active.tobytes()
         if key in seen:
             fallback = solve_psor(spec, params)
             return replace(fallback, solver_id="active_set(psor_fallback)")
         seen.add(key)
-        u = psi.copy()
         free = ~active
+        start, u = u, psi.copy()
         if free.any():
-            rhs = f[free] - A[np.ix_(free, active)] @ psi[active]
-            u[free] = scipy.linalg.solve(
-                A[np.ix_(free, free)], rhs, assume_a="pos")
-        r = A @ u - f
+            if A is None:
+                u[free] = _free_block_pcg(op, free, psi, f, start)
+            else:
+                rhs = f[free] - A[np.ix_(free, active)] @ psi[active]
+                u[free] = scipy.linalg.solve(
+                    A[np.ix_(free, free)], rhs, assume_a="pos")
+        r = (op.apply(u) if A is None else A @ u) - f
         primal_bad = free & (u < psi - eps)
         dual_bad = active & (r < -eps)
         if not primal_bad.any() and not dual_bad.any():
             return make_solution(spec, u, it, "active_set", True, params)
+        viol, _ = kkt_violation(spec, u, residual=r)
+        if viol < best_viol:
+            best, best_viol = u, viol
         active = (active | primal_bad) & ~dual_bad
-    fallback = solve_psor(spec, params)
-    return replace(fallback, solver_id="active_set(psor_fallback)")
+    raise IterationLimitError(
+        f"active set did not settle in {params.max_iter} passes "
+        f"(violation {best_viol:.3e})",
+        best=make_solution(spec, best, params.max_iter, "active_set", False, params),
+        violation=best_viol)
 
 
 # Obstacle solvers by method name, in the order the CLI reports them.  The

@@ -23,14 +23,11 @@ import numpy as np
 
 from .operator import FracLapOperator
 from .solvers import (
-    DENSE_LIMIT,
     ProblemSpec,
-    Solution,
     SolverParams,
     kkt_violation,
     solve_active_set,
     solve_linear,
-    solve_psor,
 )
 
 __all__ = [
@@ -111,13 +108,6 @@ class ConvergenceReport:
             "energy_threshold": self.energy_threshold,
             "passed": self.passed,
         }
-
-
-def _solve(spec: ProblemSpec, params: SolverParams | None) -> Solution:
-    params = params or SolverParams()
-    if spec.n <= DENSE_LIMIT:
-        return solve_active_set(spec, params)
-    return solve_psor(spec, params)
 
 
 def check_kkt(spec: ProblemSpec, u, tol: float = 1e-8) -> Report:
@@ -211,8 +201,8 @@ def check_comparison_in_f(op: FracLapOperator, psi, f1, f2, tol: float = 1e-8,
     f2 = op.grid.check_vector(f2)
     if np.any(f1 < f2):
         raise ValueError("comparison check requires f1 >= f2 componentwise")
-    u1 = _solve(ProblemSpec(op, psi, f1), params).u
-    u2 = _solve(ProblemSpec(op, psi, f2), params).u
+    u1 = solve_active_set(ProblemSpec(op, psi, f1), params).u
+    u2 = solve_active_set(ProblemSpec(op, psi, f2), params).u
     viol = u2 - u1
     idx = int(np.argmax(viol))
     worst = float(viol[idx])
@@ -229,8 +219,8 @@ def check_linfty_dependence(op: FracLapOperator, f, psi1, psi2,
     f = op.grid.check_vector(f)
     psi1 = op.grid.check_vector(psi1)
     psi2 = op.grid.check_vector(psi2)
-    u1 = _solve(ProblemSpec(op, psi1, f), params).u
-    u2 = _solve(ProblemSpec(op, psi2, f), params).u
+    u1 = solve_active_set(ProblemSpec(op, psi1, f), params).u
+    u2 = solve_active_set(ProblemSpec(op, psi2, f), params).u
     du, dpsi = u1 - u2, psi1 - psi2
     plus = float(np.maximum(du, 0.0).max() - np.maximum(dpsi, 0.0).max())
     minus = float(np.maximum(-du, 0.0).max() - np.maximum(-dpsi, 0.0).max())
@@ -334,10 +324,10 @@ def run_obstacle_convergence(op: FracLapOperator, f, psi,
     psi = op.grid.check_vector(psi)
     pert = op.grid.check_vector(perturbation)
     pert_inf = float(np.abs(pert).max())
-    base = _solve(ProblemSpec(op, psi, f), params).u
+    base = solve_active_set(ProblemSpec(op, psi, f), params).u
     sup_errors, energy_errors, sup_bounds = [], [], []
     for d in deltas:
-        uk = _solve(ProblemSpec(op, psi + d * pert, f), params).u
+        uk = solve_active_set(ProblemSpec(op, psi + d * pert, f), params).u
         e = uk - base
         sup_errors.append(float(np.abs(e).max()))
         energy_errors.append(op.energy_norm(e))

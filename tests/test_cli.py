@@ -246,13 +246,13 @@ def test_exit_3_on_iteration_limit(tmp_path):
 
 
 def test_exit_3_when_a_checker_solve_hits_iteration_limit(tmp_path, capsys):
-    # The main solve converges at once (u = 0); the PSOR solves inside the
-    # comparison checker (n > 512) cannot finish in five sweeps.
+    # The main PSOR solve converges in one sweep (u = 0); the active-set
+    # solves inside the comparison checker need five passes.
     text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 520")
     text = text.replace("obstacle.preset = bump\nobstacle.c = 0.5\nobstacle.d = 4.0\n"
                         "obstacle.m = 0.5\n", "obstacle.preset = negative\nobstacle.c = 0.01\n")
     text = text.replace("solver.method = activeset", "solver.method = psor")
-    text += "\nsolver.max_iter = 5\nverify.samples = 2\n"
+    text += "\nsolver.max_iter = 2\nverify.samples = 2\n"
     cfg = write_config(tmp_path, text)
     out = str(tmp_path / "out.json")
     assert main(["verify", "--config", cfg, "--out", out]) == 3
@@ -260,7 +260,29 @@ def test_exit_3_when_a_checker_solve_hits_iteration_limit(tmp_path, capsys):
     record = load_record(out)
     assert record["converged"] is True
     assert record["reports"] == []
-    assert "PSOR" in record["error"]
+    assert "active set" in record["error"]
+
+
+def test_exit_3_when_active_set_runs_out_of_passes(tmp_path, capsys):
+    # The bump needs a second pass: the all-free first pass undershoots psi.
+    cfg = write_config(tmp_path, BASE_CONFIG + "\nsolver.max_iter = 1\n")
+    out = str(tmp_path / "out.json")
+    assert main(["solve", "--config", cfg, "--out", out]) == 3
+    assert "solver failure:" in capsys.readouterr().err
+    record = load_record(out)
+    assert record["converged"] is False
+    assert "active set did not settle in 1 passes" in record["error"]
+
+
+def test_solve_active_set_above_dense_limit(tmp_path):
+    text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "out.json")
+    assert main(["solve", "--config", cfg, "--out", out, "--solver", "activeset"]) == 0
+    record = load_record(out)
+    assert record["solver_id"] == "active_set"
+    spec = parse_config_text(text).build_problem()
+    assert check_kkt(spec, np.asarray(record["u"]), tol=1e-10).passed
 
 
 def test_exit_3_when_oracle_check_solver_hits_iteration_limit(tmp_path, capsys):

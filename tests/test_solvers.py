@@ -272,10 +272,56 @@ def test_active_set_exact_match_with_oracle():
         assert_solution_invariants(spec, sol, 1e-10)
 
 
-def test_active_set_rejects_oversized_problem():
-    spec = ProblemSpec(make_op(n=600), psi=-np.ones(600), f=np.zeros(600))
-    with pytest.raises(ValueError):
-        solve_active_set(spec)
+def bump_instance(n, s):
+    op = make_op(n=n, s=s)
+    x = op.grid.nodes()
+    return ProblemSpec(op, psi=0.5 - 8.0 * (x - 0.5) ** 2, f=np.full(n, -0.5))
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5])
+def test_active_set_matrix_free_agrees_with_psor(s):
+    # n = 600 > DENSE_LIMIT: the free block is solved by preconditioned CG
+    spec = bump_instance(600, s)
+    sol = solve_active_set(spec, PARAMS)
+    assert sol.solver_id == "active_set" and sol.converged
+    assert np.abs(sol.u - solve_psor(spec, PARAMS).u).max() <= 1e-8
+    assert kkt_violation(spec, sol.u)[0] <= PARAMS.tol
+
+
+def test_active_set_iteration_limit_carries_best_iterate():
+    spec = bump_instance(600, 0.5)
+    with pytest.raises(IterationLimitError, match="active set") as exc:
+        solve_active_set(spec, SolverParams(max_iter=2))
+    best = exc.value.best
+    assert not best.converged and best.solver_id == "active_set"
+    assert exc.value.violation == kkt_violation(spec, best.u)[0] > PARAMS.tol
+
+
+def test_matrix_free_solves_survive_tiny_data():
+    # 1e-170 squared underflows: the CG recurrences must run on scaled data
+    op = make_op(n=600)
+    w = solve_linear(op, np.full(600, 1e-170))
+    np.testing.assert_allclose(w, 1e-170 * solve_linear(op, np.ones(600)), rtol=1e-10)
+    spec = bump_instance(600, 0.5)
+    spec = ProblemSpec(spec.op, spec.psi, np.full(600, 1e-170))
+    sol = solve_active_set(spec, PARAMS)
+    assert kkt_violation(spec, sol.u)[0] <= PARAMS.tol
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
+def test_strang_preconditioned_cg_iteration_count(s, monkeypatch):
+    op = make_op(n=4096, s=s)
+    assert op.strang_symbol.min() > 0.0
+    calls = []
+    apply = type(op).apply
+    monkeypatch.setattr(type(op), "apply", lambda self, v: calls.append(1) or apply(self, v))
+    w = solve_linear(op, np.ones(4096))
+    # one matvec per iteration; 8-11 measured
+    assert len(calls) <= 20
+    monkeypatch.undo()
+    # relative residual 5e-14 to 8e-11; at s = 0.9 that is the matvec
+    # roundoff floor D ||w||_inf eps ~ 1e-10
+    assert np.linalg.norm(op.apply(w) - 1.0) <= 1e-9 * np.sqrt(4096)
 
 
 # --- penalty ---------------------------------------------------------------------
