@@ -258,7 +258,7 @@ def parse_config_text(text: str) -> RunConfig:
         solver_params = SolverParams(
             tol=values["solver.tol"], max_iter=values["solver.max_iter"],
             relaxation=values["solver.relaxation"],
-            active_tol=values["solver.active_tol"], seed=values["seed"])
+            active_tol=values["solver.active_tol"])
         penalty_params = None
         if penalty_enabled:
             penalty_params = PenaltyParams(

@@ -29,12 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import pi, sqrt
+from math import gamma, pi, sqrt
 
 import numpy as np
-from scipy.special import gamma
-# Imported after scipy.special so that import-time profiles still charge
-# scipy.special with the scipy modules the two share.
 import scipy.linalg
 
 __all__ = [
@@ -90,7 +87,7 @@ def kernel_constant(s: float) -> float:
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"order s must lie in (0, 1), got {s}")
-    return 4.0**s * float(gamma(0.5 + s)) * s / (sqrt(pi) * float(gamma(1.0 - s)))
+    return 4.0**s * gamma(0.5 + s) * s / (sqrt(pi) * gamma(1.0 - s))
 
 
 @dataclass(frozen=True, eq=False)

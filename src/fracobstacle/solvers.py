@@ -18,7 +18,7 @@ operators may run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -115,7 +115,6 @@ class SolverParams:
     max_iter: int = 200_000
     relaxation: float = 1.5
     active_tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -272,8 +271,7 @@ def _pcg(matvec, precondition, b: np.ndarray, x0: np.ndarray | None,
         f"{tol:g} within {max_iter} iterations", best=x * scale)
 
 
-def solve_linear(op: FracLapOperator, f, tol: float = 1e-12,
-                 max_iter: int = PCG_MAX_ITER) -> np.ndarray:
+def solve_linear(op: FracLapOperator, f, tol: float = 1e-12) -> np.ndarray:
     """Solve A w = f (the obstacle-free problem) to relative residual tol.
 
     For n <= DENSE_LIMIT this back-substitutes with the operator's cached
@@ -287,13 +285,13 @@ def solve_linear(op: FracLapOperator, f, tol: float = 1e-12,
         raise ValueError("right-hand side must be finite")
     if op.grid.n <= DENSE_LIMIT:
         return scipy.linalg.cho_solve(op.cholesky, f)
-    return _pcg(op.apply, op.strang_solve, f, None, tol, max_iter)
+    return _pcg(op.apply, op.strang_solve, f, None, tol, PCG_MAX_ITER)
 
 
-def reduce_to_zero_forcing(spec: ProblemSpec, tol: float = 1e-12) -> ZeroForcingReduction:
+def reduce_to_zero_forcing(spec: ProblemSpec) -> ZeroForcingReduction:
     """Split off the obstacle-free part: u solves (psi, f) iff u - w solves
     (psi - w, 0), where A w = f.  Returns (psi - w, w)."""
-    shift = solve_linear(spec.op, spec.f, tol=tol)
+    shift = solve_linear(spec.op, spec.f)
     return ZeroForcingReduction(psi_reduced=spec.psi - shift, shift=shift)
 
 
@@ -389,10 +387,10 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
     nodes out.  For n <= DENSE_LIMIT the free block is sliced from the dense
     matrix and solved directly; above, it is solved matrix-free by
     Strang-preconditioned conjugate gradients, warm-started from the
-    previous pass.  For M-matrices this terminates in a few passes; on
-    cycle detection the PSOR result is returned instead (solver_id records
-    the fallback).  params.max_iter bounds the number of passes; running
-    out raises IterationLimitError with the iterate of least KKT violation.
+    previous pass.  For M-matrices this terminates in finitely many passes
+    (Hintermueller, Ito & Kunisch, 2002).  params.max_iter bounds the
+    passes; running out, or revisiting an active set, raises
+    IterationLimitError with the iterate of least KKT violation.
     """
     params = params or SolverParams()
     op, psi, f = spec.op, spec.psi, spec.f
@@ -406,9 +404,8 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
     eps = 1e-12 * (1.0 + float(np.abs(psi).max()) + float(np.abs(f).max()))
     for it in range(1, params.max_iter + 1):
         key = active.tobytes()
-        if key in seen:
-            fallback = solve_psor(spec, params)
-            return replace(fallback, solver_id="active_set(psor_fallback)")
+        if key in seen:  # a cycle: no later pass can settle
+            break
         seen.add(key)
         free = ~active
         start, u = u, psi.copy()
@@ -419,7 +416,7 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
                 rhs = f[free] - A[np.ix_(free, active)] @ psi[active]
                 u[free] = scipy.linalg.solve(
                     A[np.ix_(free, free)], rhs, assume_a="pos")
-        r = (op.apply(u) if A is None else A @ u) - f
+        r = op.apply(u) - f
         primal_bad = free & (u < psi - eps)
         dual_bad = active & (r < -eps)
         if not primal_bad.any() and not dual_bad.any():
@@ -428,10 +425,11 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
         if viol < best_viol:
             best, best_viol = u, viol
         active = (active | primal_bad) & ~dual_bad
+    passes = len(seen)  # params.max_iter unless an active set came back
     raise IterationLimitError(
-        f"active set did not settle in {params.max_iter} passes "
+        f"active set did not settle in {passes} passes "
         f"(violation {best_viol:.3e})",
-        best=make_solution(spec, best, params.max_iter, "active_set", False, params),
+        best=make_solution(spec, best, passes, "active_set", False, params),
         violation=best_viol)
 
 
@@ -445,15 +443,14 @@ SOLVERS = {
 }
 
 
-def _spectral_radius_estimate(op: FracLapOperator, scale: np.ndarray,
-                              iters: int = 60) -> float:
-    """Power iteration on v -> A^{-1}(scale * v); scale >= 0."""
+def _spectral_radius_estimate(op: FracLapOperator, scale: np.ndarray) -> float:
+    """Power iteration, 60 steps, on v -> A^{-1}(scale * v); scale >= 0."""
     if scale.max() <= 0.0:
         return 0.0
     n = op.grid.n
     v = np.ones(n) / np.sqrt(n)
     rho = 0.0
-    for _ in range(iters):
+    for _ in range(60):
         w = solve_linear(op, scale * v)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:

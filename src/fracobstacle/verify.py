@@ -16,7 +16,7 @@ worst violations.  Sampling loops are sequential for reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -65,17 +65,7 @@ class Report:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "passed": self.passed,
-            "worst_violation": self.worst_violation,
-            "worst_index_or_sample": self.worst_index_or_sample,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "inconclusive": self.inconclusive,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -96,18 +86,6 @@ class ConvergenceReport:
         if k < 3 or any(len(seq) != k for seq in
                         (self.sup_errors, self.energy_errors, self.sup_bounds)):
             raise ValueError("convergence report needs >= 3 equal-length sequences")
-
-    def as_dict(self) -> dict:
-        return {
-            "deltas": list(self.deltas),
-            "sup_errors": list(self.sup_errors),
-            "energy_errors": list(self.energy_errors),
-            "sup_bounds": list(self.sup_bounds),
-            "monotone_flag": self.monotone_flag,
-            "sup_bounds_ok": self.sup_bounds_ok,
-            "energy_threshold": self.energy_threshold,
-            "passed": self.passed,
-        }
 
 
 def check_kkt(spec: ProblemSpec, u, tol: float = 1e-8) -> Report:

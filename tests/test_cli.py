@@ -1,11 +1,16 @@
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracobstacle import ProblemSpec, check_kkt
+import fracobstacle
+from fracobstacle import ProblemSpec, check_kkt, solvers
 from fracobstacle.cli import _fmt_float, dumps, main
 from fracobstacle.config import ConfigError, parse_config_text
 
@@ -42,6 +47,15 @@ def strip_timing(record):
     record = dict(record)
     record.pop("timing_seconds", None)
     return record
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # math.gamma serves the kernel constant; scipy.special costs import time.
+    env = dict(os.environ, PYTHONPATH=str(Path(fracobstacle.__file__).parents[1]))
+    code = "import sys, fracobstacle.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 # --- config parsing ----------------------------------------------------------------
@@ -274,6 +288,22 @@ def test_exit_3_when_active_set_runs_out_of_passes(tmp_path, capsys):
     assert "active set did not settle in 1 passes" in record["error"]
 
 
+def test_exit_3_when_active_set_revisits_an_active_set(tmp_path, capsys, monkeypatch):
+    # Free-block solves stubbed to land below psi make every node active;
+    # the constant forcing then makes every node leave, so S cycles.
+    monkeypatch.setattr(solvers, "_free_block_pcg",
+                        lambda op, free, *rest: np.full(int(free.sum()), -1e3))
+    text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 520")
+    text = text.replace("forcing.preset = zero", "forcing.preset = constant\nforcing.c = 1e4")
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "out.json")
+    assert main(["verify", "--config", cfg, "--out", out]) == 3
+    assert "solver failure: active set did not settle in 2 passes" in capsys.readouterr().err
+    record = load_record(out)
+    assert record["reports"] == []
+    assert record["error"].startswith("active set did not settle in 2 passes")
+
+
 def test_solve_active_set_above_dense_limit(tmp_path):
     text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
     cfg = write_config(tmp_path, text)
@@ -382,6 +412,22 @@ def test_sweep_n_axis(tmp_path):
         cells = line.split(",")
         assert cells[-1] == "ok"
         assert cells[gap_idx] == ""  # not applicable off the epsilon axis
+
+
+def test_sweep_error_row_with_comma_round_trips(tmp_path):
+    # The penalty route stops above n = 512 with "requires n <= 512, got 520".
+    text = BASE_CONFIG.replace("solver.method = activeset", "solver.method = penalty")
+    text += "\nsweep.axis = n\nsweep.values = 8, 520\n"
+    cfg = write_config(tmp_path, text)
+    path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--csv", str(path)]) == 3
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, ok, bad = csv.reader(fh)
+    assert len(header) == len(ok) == len(bad) == 9
+    status = header.index("status")
+    assert ok[status] == "ok"
+    assert bad[status] == "error: penalty solver requires n <= 512, got 520"
+    assert path.read_text().count("\n") == 3
 
 
 def test_sweep_without_axis_is_config_error(tmp_path):

@@ -9,6 +9,7 @@ from fracobstacle import (
     OracleAmbiguityError,
     PenaltyParams,
     ProblemSpec,
+    Solution,
     SolverParams,
     brute_force_oracle,
     check_lewy_stampacchia,
@@ -20,6 +21,7 @@ from fracobstacle import (
     solve_penalty,
     solve_projected_gradient,
     solve_psor,
+    solvers,
 )
 
 from conftest import make_op, oracle_instance, random_instance
@@ -295,6 +297,25 @@ def test_active_set_iteration_limit_carries_best_iterate():
     best = exc.value.best
     assert not best.converged and best.solver_id == "active_set"
     assert exc.value.violation == kkt_violation(spec, best.u)[0] > PARAMS.tol
+
+
+@pytest.mark.parametrize("n", [10, 600])
+def test_active_set_cycle_raises_with_best_iterate(monkeypatch, n):
+    # Free-block solves stubbed to land below psi send every node into S;
+    # A psi - f = -1 then sends every node out again, and the empty S recurs.
+    monkeypatch.setattr(scipy.linalg, "solve", lambda a, b, **kw: np.full(b.size, -1e3))
+    monkeypatch.setattr(solvers, "_free_block_pcg",
+                        lambda op, free, *rest: np.full(int(free.sum()), -1e3))
+    op = make_op(n=n)
+    psi = bump_instance(n, 0.5).psi
+    spec = ProblemSpec(op, psi, op.apply(psi) + 1.0)
+    with pytest.raises(IterationLimitError, match="did not settle in 2 passes") as exc:
+        solve_active_set(spec, PARAMS)
+    best = exc.value.best
+    assert isinstance(best, Solution)
+    assert not best.converged and best.solver_id == "active_set" and best.iterations == 2
+    np.testing.assert_array_equal(best.u, psi)  # the all-active pass: violation 1
+    assert exc.value.violation == kkt_violation(spec, best.u)[0] == pytest.approx(1.0)
 
 
 def test_matrix_free_solves_survive_tiny_data():
