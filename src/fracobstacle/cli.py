@@ -170,6 +170,14 @@ def _write_json(record: dict, path: str | None, started: float):
             fh.write("\n")
 
 
+def _solve_failure_fields(cfg: RunConfig, spec: ProblemSpec, exc: SolverError) -> dict:
+    """Solution fields of a failed main solve: its best Solution, else psi^+."""
+    best = getattr(exc, "best", None)
+    sol = best if isinstance(best, Solution) else make_solution(
+        spec, spec.default_start(), 0, cfg.solver_method, False, cfg.solver_params)
+    return _solution_fields(spec, sol, None)
+
+
 def _solver_failure(record: dict, exc: SolverError, path: str | None,
                     started: float) -> int:
     """Write the partial record, without reports, with its error field."""
@@ -205,10 +213,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         sol, extras = run_single(spec, cfg.solver_method, cfg.solver_params,
                                  cfg.penalty_params)
     except SolverError as exc:
-        best = getattr(exc, "best", None)
-        sol = best if isinstance(best, Solution) else make_solution(
-            spec, spec.default_start(), 0, cfg.solver_method, False, cfg.solver_params)
-        record.update(_solution_fields(spec, sol, None))
+        record.update(_solve_failure_fields(cfg, spec, exc))
         return _solver_failure(record, exc, cfg.output_json, started)
     record.update(_solution_fields(spec, sol, extras))
     record["reports"] = []
@@ -265,15 +270,19 @@ def cmd_verify(cfg: RunConfig, inject_corruption: bool = False) -> int:
     try:
         sol, extras = run_single(spec, cfg.solver_method, cfg.solver_params,
                                  cfg.penalty_params)
-        u = sol.u.copy()
-        if inject_corruption:
-            u[spec.n // 2] = spec.psi[spec.n // 2] - 1.0
-        record.update(_solution_fields(spec, sol, extras))
-        record["corrupted"] = inject_corruption
+    except SolverError as exc:
+        record.update(_solve_failure_fields(cfg, spec, exc))
+        return _solver_failure(record, exc, cfg.output_json, started)
+    u = sol.u.copy()
+    if inject_corruption:
+        u[spec.n // 2] = spec.psi[spec.n // 2] - 1.0
+    record.update(_solution_fields(spec, sol, extras))
+    record["corrupted"] = inject_corruption
+    try:
         reports = _verify_reports(cfg, spec, u)
         if spec.n <= 12:
             reports.append(_oracle_agreement_report(cfg, spec))
-    except SolverError as exc:  # in the main solve or in a checker's solves
+    except SolverError as exc:  # in a checker's or the oracle agreement's solves
         return _solver_failure(record, exc, cfg.output_json, started)
     record["reports"] = [r.as_dict() for r in reports]
     _write_json(record, cfg.output_json, started)
@@ -298,13 +307,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not csv_path:
         raise ConfigError("sweep requires a CSV output path (output.csv or --csv)")
     rows = []
+    spec = None
     for value in cfg.sweep_values:
         row = {c: "" for c in SWEEP_COLUMNS}
         row["axis"], row["value"] = cfg.sweep_axis, value
         try:
-            spec = cfg.build_problem(
-                s=float(value) if cfg.sweep_axis == "s" else None,
-                n=int(value) if cfg.sweep_axis == "n" else None)
+            # Every epsilon shares one problem, so one operator: the penalty
+            # solver's eps-free setup (its PSOR solve) then runs once.
+            if spec is None or cfg.sweep_axis != "epsilon":
+                spec = cfg.build_problem(
+                    s=float(value) if cfg.sweep_axis == "s" else None,
+                    n=int(value) if cfg.sweep_axis == "n" else None)
             method, pparams = cfg.solver_method, cfg.penalty_params
             if cfg.sweep_axis == "epsilon":  # always exercises the penalty route
                 method = "penalty"

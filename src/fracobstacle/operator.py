@@ -32,7 +32,6 @@ from functools import cached_property
 from math import gamma, pi, sqrt
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Grid",
@@ -172,6 +171,8 @@ class FracLapOperator:
     @cached_property
     def cholesky(self) -> tuple[np.ndarray, bool]:
         """Cholesky factor of dense() as cho_factor returns it; O(n^2) memory."""
+        import scipy.linalg  # only the dense paths need it; it is slow to import
+
         c, lower = scipy.linalg.cho_factor(self.dense())
         c.flags.writeable = False
         return c, lower

@@ -18,11 +18,12 @@ operators may run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .operator import FracLapOperator
 
@@ -209,14 +210,21 @@ def kkt_violation(spec: ProblemSpec, u: np.ndarray, residual: np.ndarray | None 
 
     The three parts are primal feasibility psi - u, dual feasibility -r,
     and relative complementarity r (u - psi) / (1 + |r|); the returned value
-    is their overall max (negative values mean margin).
+    is their overall max (negative values mean margin).  Ties go to the first
+    part, then the first node, and a NaN wins, as np.argmax over the three
+    parts stacked in that order.
     """
     if residual is None:
         residual = spec.op.apply(u) - spec.f
     gap = u - spec.psi
-    parts = np.stack([-gap, -residual, residual * gap / (1.0 + np.abs(residual))])
-    flat = int(np.argmax(parts))
-    return float(parts.flat[flat]), flat % spec.n
+    value, index = -math.inf, 0
+    for part in (-gap, -residual, residual * gap / (1.0 + np.abs(residual))):
+        i = int(part.argmax())
+        if part[i] > value or math.isnan(part[i]):
+            value, index = float(part[i]), i
+            if math.isnan(value):
+                break
+    return value, index
 
 
 def make_solution(spec: ProblemSpec, u, iterations: int, solver_id: str,
@@ -284,7 +292,10 @@ def solve_linear(op: FracLapOperator, f, tol: float = 1e-12) -> np.ndarray:
     if not np.isfinite(f).all():
         raise ValueError("right-hand side must be finite")
     if op.grid.n <= DENSE_LIMIT:
-        return scipy.linalg.cho_solve(op.cholesky, f)
+        import scipy.linalg
+
+        # f is checked above and the cached factor is finite by construction.
+        return scipy.linalg.cho_solve(op.cholesky, f, check_finite=False)
     return _pcg(op.apply, op.strang_solve, f, None, tol, PCG_MAX_ITER)
 
 
@@ -307,18 +318,24 @@ def solve_psor(spec: ProblemSpec, params: SolverParams | None = None) -> Solutio
     displayed formula.  Deterministic given the start (default psi^+).
     """
     params = params or SolverParams()
-    op, psi, f = spec.op, spec.psi, spec.f
+    op = spec.op
     n, D, omega = spec.n, op.diag, params.relaxation
+    # The node loop runs on Python floats (the same IEEE doubles, without
+    # numpy's per-scalar overhead); z stays an array for the column updates.
+    psi, f = spec.psi.tolist(), spec.f.tolist()
+    columns = [op.column(i) for i in range(n)]
     u = spec.default_start()
     for sweep in range(1, params.max_iter + 1):
         z = op.apply(u)
+        u = u.tolist()
         for i in range(n):
-            target = u[i] + omega * (f[i] - z[i]) / D
+            target = u[i] + omega * (f[i] - z.item(i)) / D
             new = psi[i] if target < psi[i] else target
             delta = new - u[i]
             if delta != 0.0:
                 u[i] = new
-                z += delta * op.column(i)
+                z += delta * columns[i]
+        u = np.array(u)
         viol, _ = kkt_violation(spec, u)
         if viol <= params.tol:
             return make_solution(spec, u, sweep, "psor", True, params)
@@ -413,6 +430,8 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
             if A is None:
                 u[free] = _free_block_pcg(op, free, psi, f, start)
             else:
+                import scipy.linalg
+
                 rhs = f[free] - A[np.ix_(free, active)] @ psi[active]
                 u[free] = scipy.linalg.solve(
                     A[np.ix_(free, free)], rhs, assume_a="pos")
@@ -459,6 +478,27 @@ def _spectral_radius_estimate(op: FracLapOperator, scale: np.ndarray) -> float:
     return rho
 
 
+@lru_cache(maxsize=1)
+def _penalty_setup(op: FracLapOperator, psi_plus: bytes, params: SolverParams):
+    """The part of solve_penalty that does not depend on eps.
+
+    Returns the PSOR solution of the obstacle problem (psi^+, 0), q = (A psi^+)^+,
+    ||A^{-1}||_inf and the spectral radius of A^{-1} diag(q), read-only.  The
+    last call is memoised on (operator identity, bits of psi^+, params), so
+    an eps sweep on one operator and obstacle solves once; an
+    IterationLimitError is raised again by every call.
+    """
+    n = op.grid.n
+    psi_plus = np.frombuffer(psi_plus)
+    exact = solve_psor(ProblemSpec(op=op, psi=psi_plus, f=np.zeros(n)), params)
+    q = np.maximum(op.apply(psi_plus), 0.0)
+    ainv_norm = float(solve_linear(op, np.ones(n)).max())  # ||A^{-1}||_inf, A^{-1} > 0
+    rho = _spectral_radius_estimate(op, q)
+    for array in (exact.u, exact.residual, exact.active_set, q):
+        array.flags.writeable = False
+    return exact, q, ainv_norm, rho
+
+
 def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None,
                   params: SolverParams | None = None) -> PenaltyResult:
     """Penalty approximation of the obstacle problem (zero forcing only).
@@ -478,7 +518,9 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
     Requires f = 0; reduce general forcing with reduce_to_zero_forcing first.
     The initial damping is capped at 1.8 / (1 + rho*L), the local-contraction
     threshold (rho = spectral radius of A^{-1} diag((A psi^+)^+), L = Lipschitz
-    bound of theta); stagnation halves it, up to four times.
+    bound of theta); stagnation halves it, up to four times.  The PSOR solve,
+    rho and ||A^{-1}||_inf do not depend on eps; see _penalty_setup for how
+    successive calls share them.
     """
     penalty_params = penalty_params or PenaltyParams()
     params = params or SolverParams()
@@ -491,15 +533,9 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
         raise ValueError(f"penalty solver requires n <= {DENSE_LIMIT}, got {n}")
 
     psi_plus = np.maximum(spec.psi, 0.0)
-    reduced = ProblemSpec(op=op, psi=psi_plus, f=np.zeros(n))
-    exact = solve_psor(reduced, params)
-
-    q = np.maximum(op.apply(psi_plus), 0.0)
+    exact, q, ainv_norm, rho = _penalty_setup(op, psi_plus.tobytes(), params)
     theta = penalty_params.theta
     eps = penalty_params.epsilon
-
-    ainv_norm = float(solve_linear(op, np.ones(n)).max())  # ||A^{-1}||_inf, A^{-1} > 0
-    rho = _spectral_radius_estimate(op, q)
     lip = penalty_params.lipschitz_bound()
     d = min(penalty_params.picard_damping, 1.8 / (1.0 + rho * lip))
 

@@ -7,6 +7,7 @@ from fracobstacle import (
     ProblemSpec,
     assemble_operator,
     brute_force_oracle,
+    solvers,
 )
 
 
@@ -43,3 +44,16 @@ def oracle_instance(seed, **kwargs):
         except OracleAmbiguityError:
             continue
     pytest.fail(f"could not generate a nondegenerate instance from seed {seed}")
+
+
+def count_psor_calls(monkeypatch):
+    """Wrap solvers.solve_psor; returns the list of obstacles it is called on."""
+    calls = []
+    real = solvers.solve_psor
+
+    def counting_psor(spec, params=None):
+        calls.append(spec.psi.copy())
+        return real(spec, params)
+
+    monkeypatch.setattr(solvers, "solve_psor", counting_psor)
+    return calls

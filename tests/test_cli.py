@@ -14,6 +14,8 @@ from fracobstacle import ProblemSpec, check_kkt, solvers
 from fracobstacle.cli import _fmt_float, dumps, main
 from fracobstacle.config import ConfigError, parse_config_text
 
+from conftest import count_psor_calls
+
 DATA_DIR = Path(__file__).parent / "data"
 
 BASE_CONFIG = """
@@ -49,13 +51,27 @@ def strip_timing(record):
     return record
 
 
-def test_cli_import_leaves_out_scipy_special():
-    # math.gamma serves the kernel constant; scipy.special costs import time.
+def run_python(code, *args):
     env = dict(os.environ, PYTHONPATH=str(Path(fracobstacle.__file__).parents[1]))
-    code = "import sys, fracobstacle.cli; print('scipy.special' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # math.gamma serves the kernel constant, and only the dense paths load
+    # scipy.linalg; both cost import time.
+    code = ("import sys, fracobstacle.cli; "
+            "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)")
+    assert run_python(code).strip() == "False False"
+
+
+def test_projected_gradient_above_dense_limit_leaves_out_scipy_linalg(tmp_path):
+    text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
+    cfg = write_config(tmp_path, text)
+    code = ("import sys; from fracobstacle.cli import main; "
+            "code = main(['solve', '--config', sys.argv[1], '--solver', 'pg']); "
+            "print(code, 'scipy.linalg' in sys.modules)")
+    assert run_python(code, cfg).splitlines()[-1] == "0 False"
 
 
 # --- config parsing ----------------------------------------------------------------
@@ -304,6 +320,20 @@ def test_exit_3_when_active_set_revisits_an_active_set(tmp_path, capsys, monkeyp
     assert record["error"].startswith("active set did not settle in 2 passes")
 
 
+def test_exit_3_verify_keeps_the_failed_main_solve(tmp_path, capsys):
+    text = BASE_CONFIG.replace("solver.method = activeset", "solver.method = psor")
+    cfg = write_config(tmp_path, text + "\nsolver.max_iter = 1\n")
+    out = str(tmp_path / "out.json")
+    assert main(["verify", "--config", cfg, "--out", out]) == 3
+    assert "solver failure: PSOR did not reach" in capsys.readouterr().err
+    record = load_record(out)
+    assert record["solver_id"] == "psor"
+    assert record["converged"] is False
+    assert record["iterations"] == 1 and len(record["u"]) == 8
+    assert record["reports"] == []
+    assert record["error"].startswith("PSOR did not reach")
+
+
 def test_solve_active_set_above_dense_limit(tmp_path):
     text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
     cfg = write_config(tmp_path, text)
@@ -477,6 +507,35 @@ def test_solve_with_sine_forcing(tmp_path):
 
 # --- golden file ---------------------------------------------------------------------------
 
+def sweep_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_epsilon_sweep_runs_one_psor_solve(tmp_path, monkeypatch):
+    calls = count_psor_calls(monkeypatch)
+    text = (DATA_DIR / "golden_sweep.cfg").read_text().replace(
+        "sweep.values = 1e-1, 1e-2, 1e-3", "sweep.values = 1e-1, 3e-2, 1e-2, 3e-3")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", cfg, "--csv", str(out)]) == 0
+    assert len(calls) == 1
+    rows = sweep_rows(out)
+    assert [r["status"] for r in rows] == ["ok"] * 4
+    assert len({r["energy"] for r in rows}) == 1
+
+
+def test_epsilon_sweep_psor_failure_gives_every_row_its_error(tmp_path, monkeypatch):
+    calls = count_psor_calls(monkeypatch)
+    text = (DATA_DIR / "golden_sweep.cfg").read_text() + "solver.max_iter = 1\n"
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", cfg, "--csv", str(out)]) == 3
+    assert len(calls) == 3  # a failed solve is not memoised
+    expected = "error: PSOR did not reach tol 1e-10 in 1 sweeps (violation 4.505e-01)"
+    assert [r["status"] for r in sweep_rows(out)] == [expected] * 3
+
+
 # Each golden output was written by the CLI from its config in tests/data;
 # any change to a number, a key or the key order shows up here.
 GOLDEN_CASES = {
@@ -486,6 +545,10 @@ GOLDEN_CASES = {
                 "golden_penalty.json"),
     "oracle-check": ("oracle-check", "golden_oracle.cfg", (), "golden_oracle.json"),
     "sweep": ("sweep", "golden_sweep.cfg", (), "golden_sweep.csv"),
+    # n=300: the FFT matvec, PSOR's column updates and the Picard loop at
+    # sizes the n <= 12 goldens above never reach.
+    "pg": ("solve", "golden_pg.cfg", ("--solver", "pg"), "golden_pg.json"),
+    "sweep-fft": ("sweep", "golden_sweep_fft.cfg", (), "golden_sweep_fft.csv"),
 }
 
 

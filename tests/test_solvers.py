@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracobstacle import (
     IterationLimitError,
@@ -24,7 +26,7 @@ from fracobstacle import (
     solvers,
 )
 
-from conftest import make_op, oracle_instance, random_instance
+from conftest import count_psor_calls, make_op, oracle_instance, random_instance
 
 PARAMS = SolverParams(tol=1e-10)
 
@@ -34,6 +36,34 @@ def assert_solution_invariants(spec, sol, tol):
     assert np.all(gap >= -tol)
     assert np.all(sol.residual >= -tol)
     assert np.all(sol.residual * gap <= tol * (1.0 + np.abs(sol.residual)))
+
+
+def stacked_kkt_violation(spec, u, residual):
+    """The stacked formula kkt_violation replaced: argmax over a 3 x n array."""
+    gap = u - spec.psi
+    parts = np.stack([-gap, -residual, residual * gap / (1.0 + np.abs(residual))])
+    flat = int(np.argmax(parts))
+    return float(parts.flat[flat]), flat % spec.n
+
+
+# Few distinct values, so that ties within and across the parts are common.
+KKT_VALUES = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=12))
+def test_kkt_violation_matches_stacked_formula(data, n):
+    vectors = st.lists(KKT_VALUES | st.floats(-3.0, 3.0), min_size=n, max_size=n)
+    psi, u, r = (np.array(data.draw(vectors)) for _ in range(3))
+    for v in (u, r):  # seed NaN and infinities into u and the residual
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            v[i] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    spec = ProblemSpec(make_op(n=n), psi, np.zeros(n))
+    with np.errstate(invalid="ignore"):
+        got = kkt_violation(spec, u, residual=r)
+        want = stacked_kkt_violation(spec, u, r)
+    assert got[1] == want[1]
+    assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()  # -0.0, NaN too
 
 
 # --- parameter validation ------------------------------------------------------
@@ -346,6 +376,38 @@ def test_strang_preconditioned_cg_iteration_count(s, monkeypatch):
 
 
 # --- penalty ---------------------------------------------------------------------
+
+def test_penalty_setup_solved_once_per_operator_obstacle_and_params(monkeypatch):
+    calls = count_psor_calls(monkeypatch)
+    spec = random_instance(31, n=16, s=0.5, nonneg_psi=True, zero_f=True)
+    other_psi = ProblemSpec(spec.op, spec.psi + 0.1, spec.f)
+    other_params = SolverParams(tol=1e-11)
+    results = [solve_penalty(spec, PenaltyParams(epsilon=eps), PARAMS)
+               for eps in (1e-1, 1e-2, 1e-3)]
+    assert len(calls) == 1
+    assert all(r.solution is results[0].solution for r in results)
+    solve_penalty(other_psi, PenaltyParams(epsilon=1e-2), PARAMS)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[1], other_psi.psi)
+    solve_penalty(spec, PenaltyParams(epsilon=1e-2), other_params)
+    assert len(calls) == 3
+    # An equal operator assembled again is a new operator: no shared memo.
+    fresh = ProblemSpec(make_op(n=16, s=0.5), spec.psi, spec.f)
+    result = solve_penalty(fresh, PenaltyParams(epsilon=1e-2), PARAMS)
+    assert len(calls) == 4
+    assert result.u_eps.tobytes() == results[1].u_eps.tobytes()
+    # The memoised arrays are read-only, so no caller can alter a later result.
+    assert not result.solution.u.flags.writeable
+
+
+def test_penalty_setup_does_not_memoise_iteration_limit(monkeypatch):
+    calls = count_psor_calls(monkeypatch)
+    spec = random_instance(32, n=10, s=0.5, nonneg_psi=True, zero_f=True)
+    for _ in range(2):
+        with pytest.raises(IterationLimitError, match="PSOR did not reach"):
+            solve_penalty(spec, PenaltyParams(epsilon=1e-2), SolverParams(max_iter=1))
+    assert len(calls) == 2
+
 
 def test_penalty_requires_zero_forcing():
     spec = random_instance(80, n=8)
