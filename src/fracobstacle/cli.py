@@ -94,6 +94,8 @@ def _emit(obj, out: list):
             out.append(": ")
             _emit(v, out)
         out.append("}")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
+        out.append("[" + ", ".join(map(_fmt_float, obj.tolist())) + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, v in enumerate(list(obj)):

@@ -227,6 +227,18 @@ def kkt_violation(spec: ProblemSpec, u: np.ndarray, residual: np.ndarray | None 
     return value, index
 
 
+def _kkt_met(spec: ProblemSpec, u: np.ndarray, residual: np.ndarray, tol: float) -> bool:
+    """Exactly kkt_violation(spec, u, residual)[0] <= tol, the solvers' stop test.
+
+    One min pass screens first: some r_i < -tol means the dual part alone
+    exceeds tol (or a NaN elsewhere makes the violation NaN), so the test
+    fails.  Otherwise, a NaN in r included, the full violation decides.
+    """
+    if residual.min() < -tol:
+        return False
+    return kkt_violation(spec, u, residual)[0] <= tol
+
+
 def make_solution(spec: ProblemSpec, u, iterations: int, solver_id: str,
                   converged: bool, params: SolverParams,
                   energy_trace: np.ndarray | None = None) -> Solution:
@@ -292,10 +304,15 @@ def solve_linear(op: FracLapOperator, f, tol: float = 1e-12) -> np.ndarray:
     if not np.isfinite(f).all():
         raise ValueError("right-hand side must be finite")
     if op.grid.n <= DENSE_LIMIT:
-        import scipy.linalg
+        from scipy.linalg.lapack import dpotrs
 
-        # f is checked above and the cached factor is finite by construction.
-        return scipy.linalg.cho_solve(op.cholesky, f, check_finite=False)
+        # LAPACK's back-substitution on the cached factor, as cho_solve calls
+        # it (f is copied, not overwritten) without cho_solve's wrapping.
+        c, lower = op.cholesky
+        w, info = dpotrs(c, f, lower=lower)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
+        return w
     return _pcg(op.apply, op.strang_solve, f, None, tol, PCG_MAX_ITER)
 
 
@@ -325,8 +342,8 @@ def solve_psor(spec: ProblemSpec, params: SolverParams | None = None) -> Solutio
     psi, f = spec.psi.tolist(), spec.f.tolist()
     columns = [op.column(i) for i in range(n)]
     u = spec.default_start()
+    z = op.apply(u)
     for sweep in range(1, params.max_iter + 1):
-        z = op.apply(u)
         u = u.tolist()
         for i in range(n):
             target = u[i] + omega * (f[i] - z.item(i)) / D
@@ -336,8 +353,8 @@ def solve_psor(spec: ProblemSpec, params: SolverParams | None = None) -> Solutio
                 u[i] = new
                 z += delta * columns[i]
         u = np.array(u)
-        viol, _ = kkt_violation(spec, u)
-        if viol <= params.tol:
+        z = op.apply(u)  # also the next sweep's A u
+        if _kkt_met(spec, u, z - spec.f, params.tol):
             return make_solution(spec, u, sweep, "psor", True, params)
     best = make_solution(spec, u, params.max_iter, "psor", False, params)
     viol, _ = kkt_violation(spec, u)
@@ -360,14 +377,16 @@ def solve_projected_gradient(spec: ProblemSpec, params: SolverParams | None = No
     u = spec.default_start()
     energies = []
     for it in range(params.max_iter + 1):
-        au = op.apply(u)
-        r = au - f
-        energies.append(h * (0.5 * np.dot(u, au) - np.dot(f, u)))
-        viol, _ = kkt_violation(spec, u, residual=r)
-        if viol <= params.tol:
+        r = op.apply(u)
+        energies.append(h * (0.5 * np.dot(u, r) - np.dot(f, u)))
+        r -= f
+        if _kkt_met(spec, u, r, params.tol):
             return make_solution(spec, u, it, "projected_gradient", True, params,
                                  energy_trace=np.asarray(energies))
-        u = np.maximum(psi, u - eta * r)
+        # u <- max(psi, u - eta r) in place, the same operations in order
+        r *= eta
+        u -= r
+        np.maximum(psi, u, out=u)
     best = make_solution(spec, u, params.max_iter, "projected_gradient", False,
                          params, energy_trace=np.asarray(energies))
     viol, _ = kkt_violation(spec, u)
@@ -396,15 +415,25 @@ def _free_block_pcg(op: FracLapOperator, free: np.ndarray, psi: np.ndarray,
                 rhs, start[free], _FREE_BLOCK_TOL, PCG_MAX_ITER)
 
 
+def _dense_block(op: FracLapOperator, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """A[np.ix_(rows, cols)] for boolean masks, gathered from A's first column.
+
+    A_ij = A_{|i-j|,0} (symmetric Toeplitz), so no n x n matrix is built;
+    the values, shape and C layout are those of the dense() slice.
+    """
+    rows, cols = np.flatnonzero(rows), np.flatnonzero(cols)
+    return op.column(0)[np.abs(rows[:, None] - cols)]
+
+
 def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> Solution:
     """Primal active-set iteration with exact complementarity at the end.
 
     Guess the active set S, pin u = psi on S, solve the free block, then
     move primal-infeasible free nodes into S and dual-infeasible active
-    nodes out.  For n <= DENSE_LIMIT the free block is sliced from the dense
-    matrix and solved directly; above, it is solved matrix-free by
-    Strang-preconditioned conjugate gradients, warm-started from the
-    previous pass.  For M-matrices this terminates in finitely many passes
+    nodes out.  For n <= DENSE_LIMIT the free block is gathered from A's
+    first column (_dense_block) and solved directly; above, it is solved
+    matrix-free by Strang-preconditioned conjugate gradients, warm-started
+    from the previous pass.  For M-matrices this terminates in finitely many passes
     (Hintermueller, Ito & Kunisch, 2002).  params.max_iter bounds the
     passes; running out, or revisiting an active set, raises
     IterationLimitError with the iterate of least KKT violation.
@@ -412,7 +441,6 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
     params = params or SolverParams()
     op, psi, f = spec.op, spec.psi, spec.f
     n = spec.n
-    A = op.dense() if n <= DENSE_LIMIT else None
     active = np.zeros(n, dtype=bool)
     seen = set()
     u = psi.copy()
@@ -427,14 +455,14 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
         free = ~active
         start, u = u, psi.copy()
         if free.any():
-            if A is None:
+            if n > DENSE_LIMIT:
                 u[free] = _free_block_pcg(op, free, psi, f, start)
             else:
                 import scipy.linalg
 
-                rhs = f[free] - A[np.ix_(free, active)] @ psi[active]
+                rhs = f[free] - _dense_block(op, free, active) @ psi[active]
                 u[free] = scipy.linalg.solve(
-                    A[np.ix_(free, free)], rhs, assume_a="pos")
+                    _dense_block(op, free, free), rhs, assume_a="pos")
         r = op.apply(u) - f
         primal_bad = free & (u < psi - eps)
         dual_bad = active & (r < -eps)
@@ -552,7 +580,9 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
     it = 0
     while True:
         rhs = theta(u_eps - psi_plus) * q
-        res = float(np.abs(op.apply(u_eps) - rhs).max())
+        resid = op.apply(u_eps)
+        resid -= rhs
+        res = float(np.abs(resid, out=resid).max())
         if res <= stop:
             break
         if res < best_res * (1.0 - 1e-6):
@@ -574,7 +604,11 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
             raise IterationLimitError(
                 f"penalty Picard exceeded max_outer={penalty_params.max_outer} "
                 f"(residual {res:.3e})", best=best_iterate, violation=res)
-        u_eps = (1.0 - d) * u_eps + d * solve_linear(op, rhs)
+        # u_eps <- (1 - d) u_eps + d A^{-1} rhs in place, the same operations
+        w = solve_linear(op, rhs)
+        w *= d
+        u_eps *= 1.0 - d
+        u_eps += w
         it += 1
 
     slack = 10.0 * params.tol

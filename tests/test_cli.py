@@ -167,6 +167,14 @@ def test_dumps_matches_json_semantics():
     assert json.loads(dumps(obj)) == obj
 
 
+def test_dumps_float_array_as_its_list():
+    a = np.array([0.1, -0.0, 1e-300, 2.0, math.pi, -3.5e20])
+    assert dumps({"a": a}) == dumps({"a": [float(x) for x in a]})
+    assert dumps(np.zeros(0)) == "[]"
+    with pytest.raises(ValueError):
+        dumps(np.array([1.0, np.inf]))
+
+
 # --- solve -------------------------------------------------------------------------
 
 def test_solve_writes_record_and_csv(tmp_path):
@@ -549,6 +557,11 @@ GOLDEN_CASES = {
     # sizes the n <= 12 goldens above never reach.
     "pg": ("solve", "golden_pg.cfg", ("--solver", "pg"), "golden_pg.json"),
     "sweep-fft": ("sweep", "golden_sweep_fft.cfg", (), "golden_sweep_fft.csv"),
+    # n=600: projected gradient above DENSE_LIMIT; n=300: the dense active
+    # set in the main solve and in every checker.
+    "pg-600": ("solve", "golden_pg_600.cfg", ("--solver", "pg"), "golden_pg_600.json"),
+    "verify-activeset-300": ("verify", "golden_pg.cfg", ("--solver", "activeset"),
+                             "golden_verify_activeset.json"),
 }
 
 

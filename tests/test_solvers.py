@@ -50,20 +50,50 @@ def stacked_kkt_violation(spec, u, residual):
 KKT_VALUES = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
 
 
+def draw_kkt_instance(data, n):
+    """A spec, an iterate u and a residual r drawn from KKT_VALUES, with NaN
+    and infinities seeded into u and r."""
+    vectors = st.lists(KKT_VALUES | st.floats(-3.0, 3.0), min_size=n, max_size=n)
+    psi, u, r = (np.array(data.draw(vectors)) for _ in range(3))
+    for v in (u, r):
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            v[i] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return ProblemSpec(make_op(n=n), psi, np.zeros(n)), u, r
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=1, max_value=12))
 def test_kkt_violation_matches_stacked_formula(data, n):
-    vectors = st.lists(KKT_VALUES | st.floats(-3.0, 3.0), min_size=n, max_size=n)
-    psi, u, r = (np.array(data.draw(vectors)) for _ in range(3))
-    for v in (u, r):  # seed NaN and infinities into u and the residual
-        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2)):
-            v[i] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-    spec = ProblemSpec(make_op(n=n), psi, np.zeros(n))
+    spec, u, r = draw_kkt_instance(data, n)
     with np.errstate(invalid="ignore"):
         got = kkt_violation(spec, u, residual=r)
         want = stacked_kkt_violation(spec, u, r)
     assert got[1] == want[1]
     assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()  # -0.0, NaN too
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=12),
+       tol=st.sampled_from([1e-10, 0.5, 1.0, 2.0]))
+def test_screened_stop_test_matches_kkt_violation(data, n, tol):
+    # tol on the drawn values, so that r_i = -tol ties the screen's bound
+    spec, u, r = draw_kkt_instance(data, n)
+    with np.errstate(invalid="ignore"):
+        assert solvers._kkt_met(spec, u, r, tol) == (kkt_violation(spec, u, r)[0] <= tol)
+
+
+@pytest.mark.parametrize("r, met", [
+    ([-0.5, 0.0], True),  # r_0 = -tol: the violation equals tol
+    ([np.nextafter(-0.5, -1.0), 0.0], False),
+    ([-0.0, 0.0], True),
+    ([math.nan, 0.0], False),
+    ([math.nan, -1.0], False),
+    ([-math.inf, 0.0], False),
+])
+def test_screened_stop_test_at_its_bound(r, met):
+    spec = ProblemSpec(make_op(n=2), np.zeros(2), np.zeros(2))
+    with np.errstate(invalid="ignore"):
+        assert solvers._kkt_met(spec, np.zeros(2), np.array(r), 0.5) is met
 
 
 # --- parameter validation ------------------------------------------------------
@@ -160,6 +190,16 @@ def test_dense_factor_computed_once_per_operator(monkeypatch):
     zero_forcing = ProblemSpec(op=spec.op, psi=reduced.psi_reduced, f=np.zeros(32))
     solve_penalty(zero_forcing, PenaltyParams(epsilon=1e-2), PARAMS)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [1, 12, 300, 512])
+def test_solve_linear_dense_matches_cho_solve_bit_for_bit(n):
+    op = make_op(n=n, s=0.9)
+    f = np.random.default_rng(n).normal(size=n)
+    f_before = f.copy()
+    w = solve_linear(op, f)
+    assert w.tobytes() == scipy.linalg.cho_solve(op.cholesky, f).tobytes()
+    assert f.tobytes() == f_before.tobytes()
 
 
 def test_solve_linear_rejects_nonfinite():
@@ -327,6 +367,22 @@ def test_active_set_iteration_limit_carries_best_iterate():
     best = exc.value.best
     assert not best.converged and best.solver_id == "active_set"
     assert exc.value.violation == kkt_violation(spec, best.u)[0] > PARAMS.tol
+
+
+@pytest.mark.parametrize("n", [1, 12, 300])
+def test_dense_block_equals_dense_slice(n):
+    op = make_op(n=n, s=0.75)
+    A = op.dense()
+    rng = np.random.default_rng(n)
+    masks = [np.zeros(n, bool), np.ones(n, bool)]
+    masks += [rng.random(n) < p for p in (0.1, 0.5, 0.9)]
+    for rows in masks:
+        for cols in masks:
+            got = solvers._dense_block(op, rows, cols)
+            want = A[np.ix_(rows, cols)]
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous == want.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [10, 600])

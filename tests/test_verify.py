@@ -262,6 +262,15 @@ def test_truncation_identities_other_orders():
                                            seed=2).passed
 
 
+def test_truncation_identities_five_matvecs_per_draw(monkeypatch):
+    op = make_op(n=300, s=0.5)
+    calls = []
+    apply = type(op).apply
+    monkeypatch.setattr(type(op), "apply", lambda self, v: calls.append(1) or apply(self, v))
+    assert check_truncation_identities(op, samples=7, seed=3).passed
+    assert len(calls) == 5 * 7
+
+
 def test_truncation_reports_are_bit_reproducible():
     op = make_op(n=9)
     r1 = check_truncation_identities(op, samples=50, seed=9)
