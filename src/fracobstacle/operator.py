@@ -27,8 +27,11 @@ irregularity is modeled.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import gamma, pi, sqrt
 
 import numpy as np
@@ -38,10 +41,47 @@ __all__ = [
     "FracLapOperator",
     "kernel_constant",
     "assemble_operator",
+    "lapack",
+    "cholesky_upper",
 ]
 
 # Matvecs switch to the circulant-embedding FFT path above this size.
 _FFT_MIN_N = 256
+
+
+@cache
+def lapack():
+    """scipy's LAPACK extension module (scipy/linalg/_flapack), loaded once.
+
+    The extension is loaded from its file, so scipy/linalg/__init__.py and
+    the imports it pulls in (numpy.f2py and numpy.testing among them) are
+    not run.  The routines are the ones scipy.linalg calls, so they give
+    its bits.  Raises ImportError when the file is missing.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(d, "linalg")
+            for d in (scipy and scipy.submodule_search_locations) or ()]
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", dirs)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {dirs}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def cholesky_upper(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of a symmetric a by LAPACK dpotrf, called as
+    scipy.linalg.cho_factor calls it (the lower triangle is left as is).
+
+    Raises LinAlgError when a is not positive definite.
+    """
+    c, info = lapack().dpotrf(a, lower=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
+    return c
 
 
 @dataclass(frozen=True)
@@ -170,12 +210,18 @@ class FracLapOperator:
 
     @cached_property
     def cholesky(self) -> tuple[np.ndarray, bool]:
-        """Cholesky factor of dense() as cho_factor returns it; O(n^2) memory."""
-        import scipy.linalg  # only the dense paths need it; it is slow to import
+        """Cholesky factor of dense() as cho_factor returns it; O(n^2) memory.
 
-        c, lower = scipy.linalg.cho_factor(self.dense())
+        (c, False): the upper factor from cholesky_upper, with cho_factor's
+        bits and without loading scipy.linalg.  Raises ValueError for a
+        non-finite matrix, as cho_factor does.
+        """
+        a = self.dense()
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+        c = cholesky_upper(a)
         c.flags.writeable = False
-        return c, lower
+        return c, False
 
     def dense(self) -> np.ndarray:
         """Full matrix; O(n^2) memory, used by direct solvers and oracles."""

@@ -19,13 +19,14 @@ operators may run concurrently.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .operator import FracLapOperator
+from .operator import FracLapOperator, cholesky_upper, lapack
 
 __all__ = [
     "ProblemSpec",
@@ -295,7 +296,8 @@ def solve_linear(op: FracLapOperator, f, tol: float = 1e-12) -> np.ndarray:
     """Solve A w = f (the obstacle-free problem) to relative residual tol.
 
     For n <= DENSE_LIMIT this back-substitutes with the operator's cached
-    Cholesky factor (factored once per operator).  Above, conjugate
+    Cholesky factor (factored once per operator): LAPACK dpotrs, called as
+    scipy.linalg.cho_solve calls it, so with its bits.  Above, conjugate
     gradients preconditioned by the Strang circulant (op.strang_solve) run
     on FFT matvecs.  Since A^{-1} is entrywise positive, f >= 0 implies
     w >= 0 (discrete weak maximum principle).
@@ -304,12 +306,9 @@ def solve_linear(op: FracLapOperator, f, tol: float = 1e-12) -> np.ndarray:
     if not np.isfinite(f).all():
         raise ValueError("right-hand side must be finite")
     if op.grid.n <= DENSE_LIMIT:
-        from scipy.linalg.lapack import dpotrs
-
-        # LAPACK's back-substitution on the cached factor, as cho_solve calls
-        # it (f is copied, not overwritten) without cho_solve's wrapping.
+        # f is copied, not overwritten, as in cho_solve.
         c, lower = op.cholesky
-        w, info = dpotrs(c, f, lower=lower)
+        w, info = lapack().dpotrs(c, f, lower=lower)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
         return w
@@ -415,6 +414,36 @@ def _free_block_pcg(op: FracLapOperator, free: np.ndarray, psi: np.ndarray,
                 rhs, start[free], _FREE_BLOCK_TOL, PCG_MAX_ITER)
 
 
+def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b for symmetric positive definite a, as
+    scipy.linalg.solve(a, b, assume_a="pos") returns it, bit for bit.
+
+    A 1 x 1 system is b / a, scipy's special case; larger ones are LAPACK
+    dpotrf and dpotrs on the upper triangle, with scipy's LinAlgWarning
+    when dpocon's reciprocal condition number is below machine epsilon.
+    Raises ValueError for a non-finite b and LinAlgError when a is not
+    positive definite.
+    """
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if a.shape == (1, 1):
+        if a[0, 0] == 0.0:
+            raise np.linalg.LinAlgError("A singular matrix detected.")
+        return b / a[0, 0]
+    c, lp = cholesky_upper(a), lapack()
+    rcond, _ = lp.dpocon(c, lp.dlange("1", a))
+    if rcond < np.finfo(float).eps:
+        # Only an ill-conditioned block pays for importing scipy.linalg.
+        from scipy.linalg import LinAlgWarning
+
+        warnings.warn(f"An ill-conditioned matrix detected: rcond = {rcond}.",
+                      LinAlgWarning, stacklevel=2)
+    x, info = lp.dpotrs(c, b, lower=0)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
+    return x
+
+
 def _dense_block(op: FracLapOperator, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """A[np.ix_(rows, cols)] for boolean masks, gathered from A's first column.
 
@@ -431,12 +460,12 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
     Guess the active set S, pin u = psi on S, solve the free block, then
     move primal-infeasible free nodes into S and dual-infeasible active
     nodes out.  For n <= DENSE_LIMIT the free block is gathered from A's
-    first column (_dense_block) and solved directly; above, it is solved
-    matrix-free by Strang-preconditioned conjugate gradients, warm-started
-    from the previous pass.  For M-matrices this terminates in finitely many passes
-    (Hintermueller, Ito & Kunisch, 2002).  params.max_iter bounds the
-    passes; running out, or revisiting an active set, raises
-    IterationLimitError with the iterate of least KKT violation.
+    first column (_dense_block) and solved by Cholesky (_spd_solve); above,
+    it is solved matrix-free by Strang-preconditioned conjugate gradients,
+    warm-started from the previous pass.  For M-matrices this terminates in
+    finitely many passes (Hintermueller, Ito & Kunisch, 2002).
+    params.max_iter bounds the passes; running out, or revisiting an active
+    set, raises IterationLimitError with the iterate of least KKT violation.
     """
     params = params or SolverParams()
     op, psi, f = spec.op, spec.psi, spec.f
@@ -458,11 +487,8 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
             if n > DENSE_LIMIT:
                 u[free] = _free_block_pcg(op, free, psi, f, start)
             else:
-                import scipy.linalg
-
                 rhs = f[free] - _dense_block(op, free, active) @ psi[active]
-                u[free] = scipy.linalg.solve(
-                    _dense_block(op, free, free), rhs, assume_a="pos")
+                u[free] = _spd_solve(_dense_block(op, free, free), rhs)
         r = op.apply(u) - f
         primal_bad = free & (u < psi - eps)
         dual_bad = active & (r < -eps)

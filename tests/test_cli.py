@@ -58,20 +58,26 @@ def run_python(code, *args):
 
 
 def test_cli_import_leaves_out_scipy_special():
-    # math.gamma serves the kernel constant, and only the dense paths load
-    # scipy.linalg; both cost import time.
+    # math.gamma serves the kernel constant, and LAPACK comes from scipy's
+    # _flapack extension (operator.lapack); both packages cost import time.
     code = ("import sys, fracobstacle.cli; "
             "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)")
     assert run_python(code).strip() == "False False"
 
 
-def test_projected_gradient_above_dense_limit_leaves_out_scipy_linalg(tmp_path):
-    text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
-    cfg = write_config(tmp_path, text)
-    code = ("import sys; from fracobstacle.cli import main; "
-            "code = main(['solve', '--config', sys.argv[1], '--solver', 'pg']); "
-            "print(code, 'scipy.linalg' in sys.modules)")
-    assert run_python(code, cfg).splitlines()[-1] == "0 False"
+def test_lapack_seam_bits_survive_scipy_linalg_import():
+    # Importing scipy.linalg after the seam loads _flapack a second time,
+    # as scipy.linalg._flapack; both copies give the same dpotrs bits.
+    code = ("import numpy as np; from fracobstacle import Grid, assemble_operator; "
+            "from fracobstacle.operator import lapack; "
+            "op = assemble_operator(Grid(0.0, 1.0, 300), 0.9); c, low = op.cholesky; "
+            "f = np.random.default_rng(3).normal(size=300); "
+            "before = lapack().dpotrs(c, f, lower=low)[0].tobytes(); "
+            "import scipy.linalg, scipy.linalg.lapack; "
+            "print(lapack().dpotrs(c, f, lower=low)[0].tobytes() == before, "
+            "scipy.linalg.lapack.dpotrs(c, f, lower=low)[0].tobytes() == before, "
+            "scipy.linalg.cho_solve((c, low), f).tobytes() == before)")
+    assert run_python(code).strip() == "True True True"
 
 
 # --- config parsing ----------------------------------------------------------------
@@ -563,6 +569,21 @@ GOLDEN_CASES = {
     "verify-activeset-300": ("verify", "golden_pg.cfg", ("--solver", "activeset"),
                              "golden_verify_activeset.json"),
 }
+
+
+@pytest.mark.parametrize("case", ["pg-600", "verify-activeset-300", "sweep-fft",
+                                  "verify", "penalty", "oracle-check"])
+def test_cli_run_leaves_out_scipy_linalg(tmp_path, case):
+    # LAPACK comes from scipy's _flapack extension, loaded from its file;
+    # scipy/linalg/__init__.py and its imports stay out of every run, with
+    # (n <= 512) or without (pg-600) a dense path.
+    command, cfg_name, extra, golden_name = GOLDEN_CASES[case]
+    out_flag = "--csv" if golden_name.endswith(".csv") else "--out"
+    args = [command, "--config", str(DATA_DIR / cfg_name),
+            out_flag, str(tmp_path / golden_name), *extra]
+    code = ("import sys; from fracobstacle.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'scipy.linalg' in sys.modules)")
+    assert run_python(code, *args).splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_CASES))

@@ -1,12 +1,14 @@
+import importlib.machinery
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracobstacle import Grid, assemble_operator, kernel_constant
-from fracobstacle.operator import _FFT_MIN_N
+from fracobstacle.operator import _FFT_MIN_N, lapack
 
 from conftest import make_op
 
@@ -313,3 +315,28 @@ def test_level_truncation_energy_inequality():
         lhs = op.bilinear(vm, vm)
         rhs = op.bilinear(v, v) - op.bilinear(excess, excess)
         assert lhs <= rhs + 1e-11 * (1.0 + abs(rhs))
+
+
+@pytest.mark.parametrize("n", [1, 12, 128, 300, 512])
+def test_cholesky_matches_cho_factor_bit_for_bit(n):
+    op = make_op(n=n, s=0.9)
+    c, lower = op.cholesky
+    want, want_lower = scipy.linalg.cho_factor(op.dense())
+    assert lower == want_lower
+    assert c.shape == want.shape and c.flags.f_contiguous == want.flags.f_contiguous
+    assert c.tobytes() == want.tobytes()
+    assert not c.flags.writeable
+
+
+def test_cholesky_rejects_matrix_that_is_not_positive_definite(monkeypatch):
+    op = make_op(n=4)
+    monkeypatch.setattr(type(op), "dense", lambda self: -np.eye(4))
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        op.cholesky
+
+
+def test_lapack_seam_raises_when_extension_is_missing(monkeypatch):
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda name, path=None, target=None: None)
+    with pytest.raises(ImportError, match="_flapack"):
+        lapack.__wrapped__()  # the uncached loader

@@ -26,6 +26,8 @@ from fracobstacle import (
     solvers,
 )
 
+from fracobstacle.operator import lapack
+
 from conftest import count_psor_calls, make_op, oracle_instance, random_instance
 
 PARAMS = SolverParams(tol=1e-10)
@@ -174,14 +176,25 @@ def test_solve_linear_cg_path_above_dense_limit():
 
 
 def test_dense_factor_computed_once_per_operator(monkeypatch):
-    calls = []
-    real = scipy.linalg.cho_factor
+    # Counts the dpotrf calls through the LAPACK seam, leaving out those of
+    # the active set's free-block solves: each factors its own block.
+    lp, calls, in_block = lapack(), [], []
+    real_dpotrf, real_spd_solve = lp.dpotrf, solvers._spd_solve
 
-    def counting_cho_factor(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting_dpotrf(*args, **kwargs):
+        if not in_block:
+            calls.append(1)
+        return real_dpotrf(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counting_cho_factor)
+    def block_solve(a, b):
+        in_block.append(1)
+        try:
+            return real_spd_solve(a, b)
+        finally:
+            in_block.pop()
+
+    monkeypatch.setattr(lp, "dpotrf", counting_dpotrf)
+    monkeypatch.setattr(solvers, "_spd_solve", block_solve)
     spec = random_instance(21, n=32, s=0.5)
     u = solve_active_set(spec, PARAMS).u
     reduced = reduce_to_zero_forcing(spec)
@@ -385,11 +398,54 @@ def test_dense_block_equals_dense_slice(n):
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [12, 300, 512])
+def test_spd_solve_matches_scipy_solve_bit_for_bit(n):
+    op = make_op(n=n, s=0.9)
+    rng = np.random.default_rng(n)
+    masks = [np.ones(n, bool)] + [rng.random(n) < p for p in (0.1, 0.5, 0.9)]
+    for size in (1, 2):  # |F| = 1 is scipy's scalar special case
+        mask = np.zeros(n, bool)
+        mask[rng.choice(n, size, replace=False)] = True
+        masks.append(mask)
+    for free in masks:
+        a = solvers._dense_block(op, free, free)
+        b = rng.normal(size=a.shape[0])
+        b_before = b.copy()
+        got = solvers._spd_solve(a, b)
+        want = scipy.linalg.solve(a, b, assume_a="pos")
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert b.tobytes() == b_before.tobytes()
+
+
+@pytest.mark.parametrize("a", [np.array([[1.0, 2.0], [2.0, 1.0]]),
+                               np.array([[0.0]])])
+def test_spd_solve_rejects_singular_or_indefinite_block(a):
+    with pytest.raises(np.linalg.LinAlgError):
+        solvers._spd_solve(a, np.ones(a.shape[0]))
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.solve(a, np.ones(a.shape[0]), assume_a="pos")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spd_solve_rejects_nonfinite_rhs(bad):
+    with pytest.raises(ValueError):
+        solvers._spd_solve(np.eye(2), np.array([1.0, bad]))
+
+
+def test_spd_solve_warns_on_ill_conditioned_block():
+    a, b = np.diag([1.0, 1e-18]), np.ones(2)
+    with pytest.warns(scipy.linalg.LinAlgWarning):
+        want = scipy.linalg.solve(a, b, assume_a="pos")
+    with pytest.warns(scipy.linalg.LinAlgWarning, match="ill-conditioned"):
+        got = solvers._spd_solve(a, b)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [10, 600])
 def test_active_set_cycle_raises_with_best_iterate(monkeypatch, n):
     # Free-block solves stubbed to land below psi send every node into S;
     # A psi - f = -1 then sends every node out again, and the empty S recurs.
-    monkeypatch.setattr(scipy.linalg, "solve", lambda a, b, **kw: np.full(b.size, -1e3))
+    monkeypatch.setattr(solvers, "_spd_solve", lambda a, b: np.full(b.size, -1e3))
     monkeypatch.setattr(solvers, "_free_block_pcg",
                         lambda op, free, *rest: np.full(int(free.sum()), -1e3))
     op = make_op(n=n)
