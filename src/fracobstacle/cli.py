@@ -25,6 +25,7 @@ import numpy as np
 from .config import _SOLVER_METHODS, ConfigError, RunConfig, parse_config
 from .solvers import (
     SOLVERS,
+    IterationLimitError,
     PenaltyParams,
     ProblemSpec,
     Solution,
@@ -115,14 +116,20 @@ def run_single(spec: ProblemSpec, method: str, params: SolverParams,
 
     The penalty route reduces to zero forcing first, solves the reduced
     nonnegative-obstacle problem, and reconstructs the original solution by
-    adding the shift back.
+    adding the shift back, also to the best iterate of a failed solve.
     """
     if method in SOLVERS:
         return SOLVERS[method](spec, params), None
     if method == "penalty":
         reduced = reduce_to_zero_forcing(spec)
         rspec = ProblemSpec(op=spec.op, psi=reduced.psi_reduced, f=np.zeros(spec.n))
-        result = solve_penalty(rspec, penalty_params, params)
+        try:
+            result = solve_penalty(rspec, penalty_params, params)
+        except IterationLimitError as exc:
+            if isinstance(exc.best, Solution):
+                exc.best = make_solution(spec, exc.best.u + reduced.shift,
+                                         exc.best.iterations, "penalty", False, params)
+            raise
         u_full = result.solution.u + reduced.shift
         sol = make_solution(spec, u_full, result.outer_iterations, "penalty",
                             True, params)

@@ -43,9 +43,11 @@ __all__ = [
     "assemble_operator",
     "lapack",
     "cholesky_upper",
+    "cho_solve",
+    "spd_solve",
 ]
 
-# Matvecs switch to the circulant-embedding FFT path above this size.
+# Matvecs switch to the circulant-embedding FFT path from this size on.
 _FFT_MIN_N = 256
 
 
@@ -82,6 +84,32 @@ def cholesky_upper(a: np.ndarray) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
     return c
+
+
+def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b from the upper Cholesky factor c of a: LAPACK dpotrs as
+    scipy.linalg.cho_solve((c, False), b) calls it; b is not overwritten."""
+    x, info = lapack().dpotrs(c, b, lower=0)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
+    return x
+
+
+def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b for a principal block a of A, bit for bit what
+    scipy.linalg.solve(a, b, assume_a="pos") returns (b / a when 1 x 1).
+
+    scipy's rcond check is left out: by Varah's bound every such block has
+    rcond >= 1 / (2 (2n-1)^{2s}) > 1 / (8 n^2).  Raises ValueError for a
+    non-finite b and LinAlgError when a is not positive definite.
+    """
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if a.shape == (1, 1):
+        if a[0, 0] == 0.0:
+            raise np.linalg.LinAlgError("A singular matrix detected.")
+        return b / a[0, 0]
+    return cho_solve(cholesky_upper(a), b)
 
 
 @dataclass(frozen=True)
@@ -144,7 +172,7 @@ class FracLapOperator:
     (the exterior mass).  Instances are immutable after assembly and safely
     shareable across threads; apply/energy are pure and reentrant.
 
-    The stencil behind column() and dense(), the FFT symbol, the Strang
+    The stencil behind column() and block(), the FFT symbol, the Strang
     circulant symbol behind strang_solve() and the Cholesky factor are
     cached on first use; threads racing on a first use compute identical
     values, so sharing stays safe.
@@ -209,30 +237,35 @@ class FracLapOperator:
         return np.fft.irfft(np.fft.rfft(v) / self.strang_symbol, n)
 
     @cached_property
-    def cholesky(self) -> tuple[np.ndarray, bool]:
-        """Cholesky factor of dense() as cho_factor returns it; O(n^2) memory.
-
-        (c, False): the upper factor from cholesky_upper, with cho_factor's
-        bits and without loading scipy.linalg.  Raises ValueError for a
-        non-finite matrix, as cho_factor does.
-        """
+    def cholesky(self) -> np.ndarray:
+        """Upper Cholesky factor of dense(), read-only, with the bits of
+        scipy.linalg.cho_factor(dense())[0]; O(n^2) memory.  Raises
+        ValueError for a non-finite matrix, as cho_factor does."""
         a = self.dense()
         if not np.isfinite(a).all():
             raise ValueError("array must not contain infs or NaNs")
         c = cholesky_upper(a)
         c.flags.writeable = False
-        return c, False
+        return c
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """A[np.ix_(rows, cols)] for boolean masks, C-ordered, gathered from
+        a strided view of the stencil whose row i is column(i) (A is
+        symmetric); no index array of the block's size is built."""
+        n = self.grid.n
+        view = np.lib.stride_tricks.sliding_window_view(self._stencil, n)[::-1]
+        return view[np.ix_(rows, cols)]
 
     def dense(self) -> np.ndarray:
-        """Full matrix; O(n^2) memory, used by direct solvers and oracles."""
-        # Row i equals column i: A is symmetric.
-        return np.array([self.column(i) for i in range(self.grid.n)])
+        """Full matrix, block(all, all); O(n^2) memory."""
+        every = np.ones(self.grid.n, dtype=bool)
+        return self.block(every, every)
 
     def apply(self, v) -> np.ndarray:
         """Matvec A v.
 
-        Uses the direct Toeplitz sum for small n and circulant-embedding FFT
-        beyond _FFT_MIN_N; the two agree to 1e-12 relative.
+        Uses the direct Toeplitz sum below _FFT_MIN_N and circulant-embedding
+        FFT from it on; the two agree to 1e-12 relative.
         """
         v = self.grid.check_vector(v)
         if self.grid.n >= _FFT_MIN_N:

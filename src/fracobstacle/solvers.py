@@ -19,14 +19,13 @@ operators may run concurrently.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .operator import FracLapOperator, cholesky_upper, lapack
+from .operator import FracLapOperator, cho_solve, spd_solve
 
 __all__ = [
     "ProblemSpec",
@@ -54,6 +53,8 @@ __all__ = [
 DENSE_LIMIT = 512
 # Iteration budget of each preconditioned conjugate-gradient solve.
 PCG_MAX_ITER = 20_000
+# Relative residual of solve_linear's conjugate gradients above DENSE_LIMIT.
+_LINEAR_TOL = 1e-12
 # Relative residual of the active set's free-block solves above DENSE_LIMIT.
 _FREE_BLOCK_TOL = 1e-15
 # Brute-force enumeration is restricted to 2^n candidate active sets.
@@ -292,27 +293,21 @@ def _pcg(matvec, precondition, b: np.ndarray, x0: np.ndarray | None,
         f"{tol:g} within {max_iter} iterations", best=x * scale)
 
 
-def solve_linear(op: FracLapOperator, f, tol: float = 1e-12) -> np.ndarray:
-    """Solve A w = f (the obstacle-free problem) to relative residual tol.
+def solve_linear(op: FracLapOperator, f) -> np.ndarray:
+    """Solve A w = f (the obstacle-free problem).
 
-    For n <= DENSE_LIMIT this back-substitutes with the operator's cached
-    Cholesky factor (factored once per operator): LAPACK dpotrs, called as
-    scipy.linalg.cho_solve calls it, so with its bits.  Above, conjugate
-    gradients preconditioned by the Strang circulant (op.strang_solve) run
-    on FFT matvecs.  Since A^{-1} is entrywise positive, f >= 0 implies
-    w >= 0 (discrete weak maximum principle).
+    For n <= DENSE_LIMIT this is cho_solve with the operator's cached
+    Cholesky factor.  Above, conjugate gradients preconditioned by the
+    Strang circulant (op.strang_solve) run on FFT matvecs to relative
+    residual _LINEAR_TOL.  Since A^{-1} is entrywise positive, f >= 0
+    implies w >= 0 (discrete weak maximum principle).
     """
     f = op.grid.check_vector(f)
     if not np.isfinite(f).all():
         raise ValueError("right-hand side must be finite")
     if op.grid.n <= DENSE_LIMIT:
-        # f is copied, not overwritten, as in cho_solve.
-        c, lower = op.cholesky
-        w, info = lapack().dpotrs(c, f, lower=lower)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
-        return w
-    return _pcg(op.apply, op.strang_solve, f, None, tol, PCG_MAX_ITER)
+        return cho_solve(op.cholesky, f)
+    return _pcg(op.apply, op.strang_solve, f, None, _LINEAR_TOL, PCG_MAX_ITER)
 
 
 def reduce_to_zero_forcing(spec: ProblemSpec) -> ZeroForcingReduction:
@@ -382,6 +377,8 @@ def solve_projected_gradient(spec: ProblemSpec, params: SolverParams | None = No
         if _kkt_met(spec, u, r, params.tol):
             return make_solution(spec, u, it, "projected_gradient", True, params,
                                  energy_trace=np.asarray(energies))
+        if it == params.max_iter:  # no step past the last iterate checked
+            break
         # u <- max(psi, u - eta r) in place, the same operations in order
         r *= eta
         u -= r
@@ -414,53 +411,13 @@ def _free_block_pcg(op: FracLapOperator, free: np.ndarray, psi: np.ndarray,
                 rhs, start[free], _FREE_BLOCK_TOL, PCG_MAX_ITER)
 
 
-def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with a x = b for symmetric positive definite a, as
-    scipy.linalg.solve(a, b, assume_a="pos") returns it, bit for bit.
-
-    A 1 x 1 system is b / a, scipy's special case; larger ones are LAPACK
-    dpotrf and dpotrs on the upper triangle, with scipy's LinAlgWarning
-    when dpocon's reciprocal condition number is below machine epsilon.
-    Raises ValueError for a non-finite b and LinAlgError when a is not
-    positive definite.
-    """
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
-    if a.shape == (1, 1):
-        if a[0, 0] == 0.0:
-            raise np.linalg.LinAlgError("A singular matrix detected.")
-        return b / a[0, 0]
-    c, lp = cholesky_upper(a), lapack()
-    rcond, _ = lp.dpocon(c, lp.dlange("1", a))
-    if rcond < np.finfo(float).eps:
-        # Only an ill-conditioned block pays for importing scipy.linalg.
-        from scipy.linalg import LinAlgWarning
-
-        warnings.warn(f"An ill-conditioned matrix detected: rcond = {rcond}.",
-                      LinAlgWarning, stacklevel=2)
-    x, info = lp.dpotrs(c, b, lower=0)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
-    return x
-
-
-def _dense_block(op: FracLapOperator, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """A[np.ix_(rows, cols)] for boolean masks, gathered from A's first column.
-
-    A_ij = A_{|i-j|,0} (symmetric Toeplitz), so no n x n matrix is built;
-    the values, shape and C layout are those of the dense() slice.
-    """
-    rows, cols = np.flatnonzero(rows), np.flatnonzero(cols)
-    return op.column(0)[np.abs(rows[:, None] - cols)]
-
-
 def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> Solution:
     """Primal active-set iteration with exact complementarity at the end.
 
     Guess the active set S, pin u = psi on S, solve the free block, then
     move primal-infeasible free nodes into S and dual-infeasible active
-    nodes out.  For n <= DENSE_LIMIT the free block is gathered from A's
-    first column (_dense_block) and solved by Cholesky (_spd_solve); above,
+    nodes out.  For n <= DENSE_LIMIT the free block is gathered by op.block
+    and solved by Cholesky (operator.spd_solve); above,
     it is solved matrix-free by Strang-preconditioned conjugate gradients,
     warm-started from the previous pass.  For M-matrices this terminates in
     finitely many passes (Hintermueller, Ito & Kunisch, 2002).
@@ -487,8 +444,8 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
             if n > DENSE_LIMIT:
                 u[free] = _free_block_pcg(op, free, psi, f, start)
             else:
-                rhs = f[free] - _dense_block(op, free, active) @ psi[active]
-                u[free] = _spd_solve(_dense_block(op, free, free), rhs)
+                rhs = f[free] - op.block(free, active) @ psi[active]
+                u[free] = spd_solve(op.block(free, free), rhs)
         r = op.apply(u) - f
         primal_bad = free & (u < psi - eps)
         dual_bad = active & (r < -eps)

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 import fracobstacle
-from fracobstacle import ProblemSpec, check_kkt, solvers
+from fracobstacle import (
+    IterationLimitError,
+    ProblemSpec,
+    check_kkt,
+    reduce_to_zero_forcing,
+    solve_psor,
+    solvers,
+)
 from fracobstacle.cli import _fmt_float, dumps, main
 from fracobstacle.config import ConfigError, parse_config_text
 
@@ -70,13 +77,13 @@ def test_lapack_seam_bits_survive_scipy_linalg_import():
     # as scipy.linalg._flapack; both copies give the same dpotrs bits.
     code = ("import numpy as np; from fracobstacle import Grid, assemble_operator; "
             "from fracobstacle.operator import lapack; "
-            "op = assemble_operator(Grid(0.0, 1.0, 300), 0.9); c, low = op.cholesky; "
+            "op = assemble_operator(Grid(0.0, 1.0, 300), 0.9); c = op.cholesky; "
             "f = np.random.default_rng(3).normal(size=300); "
-            "before = lapack().dpotrs(c, f, lower=low)[0].tobytes(); "
+            "before = lapack().dpotrs(c, f, lower=0)[0].tobytes(); "
             "import scipy.linalg, scipy.linalg.lapack; "
-            "print(lapack().dpotrs(c, f, lower=low)[0].tobytes() == before, "
-            "scipy.linalg.lapack.dpotrs(c, f, lower=low)[0].tobytes() == before, "
-            "scipy.linalg.cho_solve((c, low), f).tobytes() == before)")
+            "print(lapack().dpotrs(c, f, lower=0)[0].tobytes() == before, "
+            "scipy.linalg.lapack.dpotrs(c, f, lower=0)[0].tobytes() == before, "
+            "scipy.linalg.cho_solve((c, False), f).tobytes() == before)")
     assert run_python(code).strip() == "True True True"
 
 
@@ -346,6 +353,31 @@ def test_exit_3_verify_keeps_the_failed_main_solve(tmp_path, capsys):
     assert record["iterations"] == 1 and len(record["u"]) == 8
     assert record["reports"] == []
     assert record["error"].startswith("PSOR did not reach")
+
+
+def test_exit_3_penalty_route_records_its_iterate_on_the_real_problem(tmp_path, capsys):
+    # The penalty route's PSOR warm start fails on the reduced problem
+    # (psi - w, 0); the record holds that iterate plus the shift w.
+    text = BASE_CONFIG.replace("solver.method = activeset", "solver.method = penalty")
+    text = text.replace("forcing.preset = zero", "forcing.preset = constant\nforcing.c = -0.5")
+    text += "\nsolver.max_iter = 1\n"
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "out.json")
+    assert main(["solve", "--config", cfg, "--out", out]) == 3
+    assert "solver failure: PSOR did not reach" in capsys.readouterr().err
+    record = load_record(out)
+    run = parse_config_text(text)
+    spec = run.build_problem()
+    reduced = reduce_to_zero_forcing(spec)
+    rspec = ProblemSpec(spec.op, np.maximum(reduced.psi_reduced, 0.0), np.zeros(8))
+    with pytest.raises(IterationLimitError) as exc:
+        solve_psor(rspec, run.solver_params)
+    u = exc.value.best.u + reduced.shift
+    assert record["solver_id"] == "penalty"
+    assert record["converged"] is False and record["iterations"] == 1
+    assert record["u"] == u.tolist()
+    assert record["residual"] == (spec.op.apply(u) - spec.f).tolist()
+    assert record["energy"] == spec.op.energy(u, spec.f)
 
 
 def test_solve_active_set_above_dense_limit(tmp_path):

@@ -26,7 +26,7 @@ from fracobstacle import (
     solvers,
 )
 
-from fracobstacle.operator import lapack
+from fracobstacle.operator import lapack, spd_solve
 
 from conftest import count_psor_calls, make_op, oracle_instance, random_instance
 
@@ -163,7 +163,7 @@ def test_solve_linear_residual_tolerance():
     rng = np.random.default_rng(12)
     op = make_op(n=40, s=0.6)
     f = rng.normal(size=40)
-    w = solve_linear(op, f, tol=1e-12)
+    w = solve_linear(op, f)
     assert np.linalg.norm(op.apply(w) - f) <= 1e-10 * np.linalg.norm(f)
 
 
@@ -171,7 +171,7 @@ def test_solve_linear_cg_path_above_dense_limit():
     rng = np.random.default_rng(13)
     op = make_op(n=600, s=0.5)
     f = rng.normal(size=600)
-    w = solve_linear(op, f, tol=1e-10)
+    w = solve_linear(op, f)
     assert np.linalg.norm(op.apply(w) - f) <= 1e-9 * np.linalg.norm(f)
 
 
@@ -179,7 +179,7 @@ def test_dense_factor_computed_once_per_operator(monkeypatch):
     # Counts the dpotrf calls through the LAPACK seam, leaving out those of
     # the active set's free-block solves: each factors its own block.
     lp, calls, in_block = lapack(), [], []
-    real_dpotrf, real_spd_solve = lp.dpotrf, solvers._spd_solve
+    real_dpotrf = lp.dpotrf
 
     def counting_dpotrf(*args, **kwargs):
         if not in_block:
@@ -189,12 +189,12 @@ def test_dense_factor_computed_once_per_operator(monkeypatch):
     def block_solve(a, b):
         in_block.append(1)
         try:
-            return real_spd_solve(a, b)
+            return spd_solve(a, b)
         finally:
             in_block.pop()
 
     monkeypatch.setattr(lp, "dpotrf", counting_dpotrf)
-    monkeypatch.setattr(solvers, "_spd_solve", block_solve)
+    monkeypatch.setattr(solvers, "spd_solve", block_solve)
     spec = random_instance(21, n=32, s=0.5)
     u = solve_active_set(spec, PARAMS).u
     reduced = reduce_to_zero_forcing(spec)
@@ -211,7 +211,7 @@ def test_solve_linear_dense_matches_cho_solve_bit_for_bit(n):
     f = np.random.default_rng(n).normal(size=n)
     f_before = f.copy()
     w = solve_linear(op, f)
-    assert w.tobytes() == scipy.linalg.cho_solve(op.cholesky, f).tobytes()
+    assert w.tobytes() == scipy.linalg.cho_solve((op.cholesky, False), f).tobytes()
     assert f.tobytes() == f_before.tobytes()
 
 
@@ -330,6 +330,23 @@ def test_projected_gradient_matches_psor():
         assert_solution_invariants(spec, pg, PARAMS.tol)
 
 
+@pytest.mark.parametrize("k", [1, 5, 50])
+def test_projected_gradient_iteration_limit_carries_last_checked_iterate(k):
+    # the failure record is u_k, the iterate the k-th stop test judged
+    spec = random_instance(61, n=10)
+    eta = 1.0 / spec.op.lambda_max_bound()
+    u = spec.default_start()
+    for _ in range(k):
+        u = np.maximum(spec.psi, u - eta * (spec.op.apply(u) - spec.f))
+    with pytest.raises(IterationLimitError) as exc:
+        solve_projected_gradient(spec, SolverParams(tol=1e-14, max_iter=k))
+    best = exc.value.best
+    assert best.iterations == k and best.energy_trace.size == k + 1
+    assert best.u.tobytes() == u.tobytes()
+    assert best.energy_trace[-1] == spec.op.energy(best.u, spec.f)
+    assert exc.value.violation == kkt_violation(spec, best.u)[0]
+
+
 # --- active set ------------------------------------------------------------------
 
 def test_active_set_fully_active_after_first_pass():
@@ -385,13 +402,14 @@ def test_active_set_iteration_limit_carries_best_iterate():
 @pytest.mark.parametrize("n", [1, 12, 300])
 def test_dense_block_equals_dense_slice(n):
     op = make_op(n=n, s=0.75)
-    A = op.dense()
+    A = np.array([op.column(i) for i in range(n)])  # row i is column i
+    assert op.dense().flags.c_contiguous and op.dense().tobytes() == A.tobytes()
     rng = np.random.default_rng(n)
     masks = [np.zeros(n, bool), np.ones(n, bool)]
     masks += [rng.random(n) < p for p in (0.1, 0.5, 0.9)]
     for rows in masks:
         for cols in masks:
-            got = solvers._dense_block(op, rows, cols)
+            got = op.block(rows, cols)
             want = A[np.ix_(rows, cols)]
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.flags.c_contiguous == want.flags.c_contiguous
@@ -408,10 +426,10 @@ def test_spd_solve_matches_scipy_solve_bit_for_bit(n):
         mask[rng.choice(n, size, replace=False)] = True
         masks.append(mask)
     for free in masks:
-        a = solvers._dense_block(op, free, free)
+        a = op.block(free, free)
         b = rng.normal(size=a.shape[0])
         b_before = b.copy()
-        got = solvers._spd_solve(a, b)
+        got = spd_solve(a, b)
         want = scipy.linalg.solve(a, b, assume_a="pos")
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert b.tobytes() == b_before.tobytes()
@@ -421,7 +439,7 @@ def test_spd_solve_matches_scipy_solve_bit_for_bit(n):
                                np.array([[0.0]])])
 def test_spd_solve_rejects_singular_or_indefinite_block(a):
     with pytest.raises(np.linalg.LinAlgError):
-        solvers._spd_solve(a, np.ones(a.shape[0]))
+        spd_solve(a, np.ones(a.shape[0]))
     with pytest.raises(np.linalg.LinAlgError):
         scipy.linalg.solve(a, np.ones(a.shape[0]), assume_a="pos")
 
@@ -429,23 +447,32 @@ def test_spd_solve_rejects_singular_or_indefinite_block(a):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_spd_solve_rejects_nonfinite_rhs(bad):
     with pytest.raises(ValueError):
-        solvers._spd_solve(np.eye(2), np.array([1.0, bad]))
+        spd_solve(np.eye(2), np.array([1.0, bad]))
 
 
-def test_spd_solve_warns_on_ill_conditioned_block():
-    a, b = np.diag([1.0, 1e-18]), np.ones(2)
-    with pytest.warns(scipy.linalg.LinAlgWarning):
-        want = scipy.linalg.solve(a, b, assume_a="pos")
-    with pytest.warns(scipy.linalg.LinAlgWarning, match="ill-conditioned"):
-        got = solvers._spd_solve(a, b)
-    assert got.tobytes() == want.tobytes()
+@pytest.mark.parametrize("n", [2, 12, 300, 512])
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+def test_free_blocks_are_far_from_singular(n, s):
+    # Varah's bound on the strictly diagonally dominant A: every principal
+    # block has rcond >= 1 / (2 (2n-1)^{2s}), so spd_solve needs no
+    # condition estimate.
+    op = make_op(n=n, s=s)
+    lp, bound = lapack(), 1.0 / (2.0 * (2 * n - 1) ** (2.0 * s))
+    rng = np.random.default_rng(n)
+    masks = [np.ones(n, bool)] + [rng.random(n) < p for p in (0.25, 0.5, 0.9)]
+    for free in masks:
+        if free.sum() < 2:
+            continue
+        a = op.block(free, free)
+        rcond, info = lp.dpocon(lp.dpotrf(a, lower=0, clean=0)[0], lp.dlange("1", a))
+        assert info == 0 and rcond >= bound
 
 
 @pytest.mark.parametrize("n", [10, 600])
 def test_active_set_cycle_raises_with_best_iterate(monkeypatch, n):
     # Free-block solves stubbed to land below psi send every node into S;
     # A psi - f = -1 then sends every node out again, and the empty S recurs.
-    monkeypatch.setattr(solvers, "_spd_solve", lambda a, b: np.full(b.size, -1e3))
+    monkeypatch.setattr(solvers, "spd_solve", lambda a, b: np.full(b.size, -1e3))
     monkeypatch.setattr(solvers, "_free_block_pcg",
                         lambda op, free, *rest: np.full(int(free.sum()), -1e3))
     op = make_op(n=n)
