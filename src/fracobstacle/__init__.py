@@ -7,8 +7,8 @@ Solver library and verification engine for
 where A is the M-matrix discretization of (-Delta)^s on an interval with
 zero exterior condition.  The verify module asserts the structural theorems
 of the problem (KKT system, Lewy-Stampacchia bounds, Minty characterization,
-comparison principles, continuous dependence, penalty sandwich) as exact
-discrete properties.
+comparison principles, continuous dependence) as exact discrete properties;
+solve_penalty asserts the penalty sandwich u <= u_eps <= u + eps.
 """
 
 from .operator import FracLapOperator, Grid, assemble_operator, kernel_constant

@@ -35,6 +35,7 @@ from .solvers import (
     kkt_violation,
     make_solution,
     reduce_to_zero_forcing,
+    solve_active_set,
     solve_penalty,
 )
 from .verify import (
@@ -125,10 +126,9 @@ def run_single(spec: ProblemSpec, method: str, params: SolverParams,
         rspec = ProblemSpec(op=spec.op, psi=reduced.psi_reduced, f=np.zeros(spec.n))
         try:
             result = solve_penalty(rspec, penalty_params, params)
-        except IterationLimitError as exc:
-            if isinstance(exc.best, Solution):
-                exc.best = make_solution(spec, exc.best.u + reduced.shift,
-                                         exc.best.iterations, "penalty", False, params)
+        except IterationLimitError as exc:  # its best is a Solution of rspec
+            exc.best = make_solution(spec, exc.best.u + reduced.shift,
+                                     exc.best.iterations, "penalty", False, params)
             raise
         u_full = result.solution.u + reduced.shift
         sol = make_solution(spec, u_full, result.outer_iterations, "penalty",
@@ -236,7 +236,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _verify_reports(cfg: RunConfig, spec: ProblemSpec, u: np.ndarray) -> list[Report]:
+def _verify_reports(cfg: RunConfig, spec: ProblemSpec, sol: Solution,
+                    u: np.ndarray) -> list[Report]:
     tol, samples, seed = cfg.verify_tol, cfg.verify_samples, cfg.seed
     reports = [
         check_kkt(spec, u, tol=tol),
@@ -246,13 +247,14 @@ def _verify_reports(cfg: RunConfig, spec: ProblemSpec, u: np.ndarray) -> list[Re
         check_bounds_cinfty(spec, u, tol=tol),
         check_truncation_identities(spec.op, samples=samples, seed=seed + 3),
     ]
+    # The comparison checkers take the active-set solution of spec, never u.
+    exact = (sol.u if sol.solver_id == "active_set"
+             else solve_active_set(spec, cfg.solver_params).u)
     rng = np.random.default_rng(seed + 4)
     f2 = spec.f - np.abs(rng.normal(size=spec.n)) * 0.5 * (1.0 + float(np.abs(spec.f).max()))
-    reports.append(check_comparison_in_f(spec.op, spec.psi, spec.f, f2, tol=tol,
-                                         params=cfg.solver_params))
+    reports.append(check_comparison_in_f(spec, exact, f2, tol=tol, params=cfg.solver_params))
     psi2 = spec.psi + rng.normal(size=spec.n) * 0.3 * (1.0 + float(np.abs(spec.psi).max()))
-    reports.append(check_linfty_dependence(spec.op, spec.f, spec.psi, psi2, tol=tol,
-                                           params=cfg.solver_params))
+    reports.append(check_linfty_dependence(spec, exact, psi2, tol=tol, params=cfg.solver_params))
     return reports
 
 
@@ -288,7 +290,7 @@ def cmd_verify(cfg: RunConfig, inject_corruption: bool = False) -> int:
     record.update(_solution_fields(spec, sol, extras))
     record["corrupted"] = inject_corruption
     try:
-        reports = _verify_reports(cfg, spec, u)
+        reports = _verify_reports(cfg, spec, sol, u)
         if spec.n <= 12:
             reports.append(_oracle_agreement_report(cfg, spec))
     except SolverError as exc:  # in a checker's or the oracle agreement's solves
@@ -297,10 +299,11 @@ def cmd_verify(cfg: RunConfig, inject_corruption: bool = False) -> int:
     _write_json(record, cfg.output_json, started)
     print(f"{'check':<26}{'result':<8}{'worst_violation':<18}{'tol':<10}")
     for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        if r.inconclusive:
-            status = "N/A"
+        status = "N/A" if r.inconclusive else "PASS" if r.passed else "FAIL"
         print(f"{r.check_id:<26}{status:<8}{r.worst_violation:<18.6e}{r.tol:<10.1e}")
+    inconclusive = sum(r.inconclusive for r in reports)
+    if inconclusive:
+        print(f"{inconclusive} check(s) inconclusive")
     failed = [r for r in reports if not r.passed]
     if failed:
         print(f"{len(failed)} check(s) failed", file=sys.stderr)

@@ -576,8 +576,8 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
                 if halvings >= 4:
                     raise IterationLimitError(
                         f"penalty Picard stagnated at residual {best_res:.3e} "
-                        f"after {halvings} dampings", best=best_iterate,
-                        violation=best_res)
+                        f"after {halvings} dampings", violation=best_res,
+                        best=make_solution(spec, exact.u, it, "penalty", False, params))
                 halvings += 1
                 d *= 0.5
                 u_eps = best_iterate.copy()
@@ -586,7 +586,8 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
         if it >= penalty_params.max_outer:
             raise IterationLimitError(
                 f"penalty Picard exceeded max_outer={penalty_params.max_outer} "
-                f"(residual {res:.3e})", best=best_iterate, violation=res)
+                f"(residual {res:.3e})", violation=res,
+                best=make_solution(spec, exact.u, it, "penalty", False, params))
         # u_eps <- (1 - d) u_eps + d A^{-1} rhs in place, the same operations
         w = solve_linear(op, rhs)
         w *= d

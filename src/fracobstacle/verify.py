@@ -171,42 +171,37 @@ def check_smallest_supersolution(spec: ProblemSpec, u, samples: int = 200,
                   note=f"feasible draws: {used}/{samples}")
 
 
-def check_comparison_in_f(op: FracLapOperator, psi, f1, f2, tol: float = 1e-8,
+def check_comparison_in_f(spec: ProblemSpec, u, f2, tol: float = 1e-8,
                           params: SolverParams | None = None) -> Report:
-    """f1 >= f2 implies u1 >= u2 componentwise."""
-    psi = op.grid.check_vector(psi)
-    f1 = op.grid.check_vector(f1)
-    f2 = op.grid.check_vector(f2)
-    if np.any(f1 < f2):
-        raise ValueError("comparison check requires f1 >= f2 componentwise")
-    u1 = solve_active_set(ProblemSpec(op, psi, f1), params).u
-    u2 = solve_active_set(ProblemSpec(op, psi, f2), params).u
-    viol = u2 - u1
+    """f >= f2 implies u >= u2 componentwise, u2 solving (psi, f2)."""
+    u = spec.op.grid.check_vector(u)
+    f2 = spec.op.grid.check_vector(f2)
+    if np.any(spec.f < f2):
+        raise ValueError("comparison check requires f >= f2 componentwise")
+    u2 = solve_active_set(ProblemSpec(spec.op, spec.psi, f2), params).u
+    viol = u2 - u
     idx = int(np.argmax(viol))
     worst = float(viol[idx])
     return Report(check_id="comparison_in_f", passed=worst <= tol,
                   worst_violation=worst, worst_index_or_sample=idx,
-                  samples=op.grid.n, seed=0, tol=tol)
+                  samples=spec.n, seed=0, tol=tol)
 
 
-def check_linfty_dependence(op: FracLapOperator, f, psi1, psi2,
-                            tol: float = 1e-8,
+def check_linfty_dependence(spec: ProblemSpec, u, psi2, tol: float = 1e-8,
                             params: SolverParams | None = None) -> Report:
-    """||(u1 - u2)^+||_inf <= ||(psi1 - psi2)^+||_inf, and mirrored for
-    the negative parts."""
-    f = op.grid.check_vector(f)
-    psi1 = op.grid.check_vector(psi1)
-    psi2 = op.grid.check_vector(psi2)
-    u1 = solve_active_set(ProblemSpec(op, psi1, f), params).u
-    u2 = solve_active_set(ProblemSpec(op, psi2, f), params).u
-    du, dpsi = u1 - u2, psi1 - psi2
+    """||(u - u2)^+||_inf <= ||(psi - psi2)^+||_inf, and mirrored for the
+    negative parts, u2 solving (psi2, f)."""
+    u = spec.op.grid.check_vector(u)
+    psi2 = spec.op.grid.check_vector(psi2)
+    u2 = solve_active_set(ProblemSpec(spec.op, psi2, spec.f), params).u
+    du, dpsi = u - u2, spec.psi - psi2
     plus = float(np.maximum(du, 0.0).max() - np.maximum(dpsi, 0.0).max())
     minus = float(np.maximum(-du, 0.0).max() - np.maximum(-dpsi, 0.0).max())
     worst = max(plus, minus)
     return Report(check_id="linfty_dependence", passed=worst <= tol,
                   worst_violation=worst,
                   worst_index_or_sample=int(np.argmax(np.abs(du))),
-                  samples=op.grid.n, seed=0, tol=tol)
+                  samples=spec.n, seed=0, tol=tol)
 
 
 def check_bounds_cinfty(spec: ProblemSpec, u, tol: float = 1e-8) -> Report:

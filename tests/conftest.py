@@ -7,7 +7,9 @@ from fracobstacle import (
     ProblemSpec,
     assemble_operator,
     brute_force_oracle,
+    cli,
     solvers,
+    verify,
 )
 
 
@@ -56,4 +58,19 @@ def count_psor_calls(monkeypatch):
         return real(spec, params)
 
     monkeypatch.setattr(solvers, "solve_psor", counting_psor)
+    return calls
+
+
+def count_active_set_calls(monkeypatch):
+    """Wrap solve_active_set in every module that calls it by name; returns
+    the list of obstacles it is called on."""
+    calls = []
+    real = solvers.solve_active_set
+
+    def counting_active_set(spec, params=None):
+        calls.append(spec.psi.copy())
+        return real(spec, params)
+
+    for module in (solvers, verify, cli):
+        monkeypatch.setattr(module, "solve_active_set", counting_active_set)
     return calls

@@ -166,7 +166,9 @@ def test_criterion_05_linfty_dependence():
         psi1 = rng.normal(size=16)
         psi2 = psi1 + rng.normal(size=16) * rng.uniform(0.1, 2.0)
         f = rng.normal(size=16)
-        rep = check_linfty_dependence(op, f, psi1, psi2, tol=1e-8, params=PARAMS)
+        spec = ProblemSpec(op, psi1, f)
+        u = solve_active_set(spec, PARAMS).u
+        rep = check_linfty_dependence(spec, u, psi2, tol=1e-8, params=PARAMS)
         worst = max(worst, rep.worst_violation)
         ok = ok and rep.passed
     assert report_line(5, "sup-norm dependence bounds on 100 obstacle pairs",
@@ -182,7 +184,9 @@ def test_criterion_06_comparison_principles():
         psi = rng.normal(size=12)
         f2 = rng.normal(size=12)
         f1 = f2 + np.abs(rng.normal(size=12))
-        rep = check_comparison_in_f(op, psi, f1, f2, tol=1e-8, params=PARAMS)
+        spec = ProblemSpec(op, psi, f1)
+        u = solve_active_set(spec, PARAMS).u
+        rep = check_comparison_in_f(spec, u, f2, tol=1e-8, params=PARAMS)
         worst = max(worst, rep.worst_violation)
         ok = ok and rep.passed
         # monotonicity in the obstacle (smallest-supersolution order)

@@ -21,7 +21,7 @@ from fracobstacle import (
 from fracobstacle.cli import _fmt_float, dumps, main
 from fracobstacle.config import ConfigError, parse_config_text
 
-from conftest import count_psor_calls
+from conftest import count_active_set_calls, count_psor_calls
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -380,6 +380,31 @@ def test_exit_3_penalty_route_records_its_iterate_on_the_real_problem(tmp_path, 
     assert record["energy"] == spec.op.energy(u, spec.f)
 
 
+def test_exit_3_penalty_picard_records_its_warm_start_on_the_real_problem(tmp_path, capsys):
+    # The PSOR warm start converges; one Picard step cannot reach the stop
+    # test.  The record holds the PSOR solution of the reduced problem plus
+    # the shift w, with the Picard step count.
+    text = BASE_CONFIG.replace("solver.method = activeset", "solver.method = penalty")
+    text = text.replace("obstacle.d = 4.0", "obstacle.d = 8.0")
+    text = text.replace("forcing.preset = zero", "forcing.preset = constant\nforcing.c = -0.5")
+    text += "\npenalty.max_outer = 1\n"
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "out.json")
+    assert main(["solve", "--config", cfg, "--out", out]) == 3
+    assert "solver failure: penalty Picard exceeded max_outer=1" in capsys.readouterr().err
+    record = load_record(out)
+    run = parse_config_text(text)
+    spec = run.build_problem()
+    reduced = reduce_to_zero_forcing(spec)
+    rspec = ProblemSpec(spec.op, np.maximum(reduced.psi_reduced, 0.0), np.zeros(8))
+    u = solve_psor(rspec, run.solver_params).u + reduced.shift
+    assert record["solver_id"] == "penalty"
+    assert record["converged"] is False and record["iterations"] == 1
+    assert record["u"] == u.tolist()
+    assert record["residual"] == (spec.op.apply(u) - spec.f).tolist()
+    assert record["energy"] == spec.op.energy(u, spec.f)
+
+
 def test_solve_active_set_above_dense_limit(tmp_path):
     text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
     cfg = write_config(tmp_path, text)
@@ -424,8 +449,9 @@ def test_verify_passes_and_includes_oracle_agreement(tmp_path, capsys):
     assert ids == ["kkt", "lewy_stampacchia", "minty", "smallest_supersolution",
                    "bounds_cinfty", "truncation_identities", "comparison_in_f",
                    "linfty_dependence", "oracle_agreement"]
-    assert all(r["passed"] for r in record["reports"])
-    assert "all checks passed" in capsys.readouterr().out
+    assert all(r["passed"] and not r["inconclusive"] for r in record["reports"])
+    out = capsys.readouterr().out
+    assert "inconclusive" not in out and out.splitlines()[-1] == "all checks passed"
 
 
 def test_verify_large_instance_skips_oracle(tmp_path):
@@ -434,6 +460,30 @@ def test_verify_large_instance_skips_oracle(tmp_path):
     assert main(["verify", "--config", cfg, "--out", out]) == 0
     ids = [r["check_id"] for r in load_record(out)["reports"]]
     assert "oracle_agreement" not in ids
+
+
+@pytest.mark.parametrize("solver", ["activeset", "psor"])
+def test_verify_makes_three_active_set_solves(tmp_path, monkeypatch, solver):
+    # (psi, f) once, by the main solve or for the comparison checkers, and
+    # one second problem per comparison checker; n = 24 runs no oracle.
+    calls = count_active_set_calls(monkeypatch)
+    text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 24")
+    assert main(["verify", "--config", write_config(tmp_path, text), "--solver", solver]) == 0
+    assert len(calls) == 3
+    assert np.array_equal(calls[0], parse_config_text(text).build_problem().psi)
+
+
+def test_verify_counts_inconclusive_checks(tmp_path, capsys):
+    # No supersolution draw clears the tall bump, so that check reads N/A.
+    text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 24")
+    text = text.replace("obstacle.c = 0.5", "obstacle.c = 2.0") + "verify.samples = 20\n"
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "verify.json")
+    assert main(["verify", "--config", cfg, "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    inconclusive = [r["check_id"] for r in load_record(out)["reports"] if r["inconclusive"]]
+    assert inconclusive == ["smallest_supersolution"]
+    assert lines[-2:] == ["1 check(s) inconclusive", "all checks passed"]
 
 
 def test_verify_deterministic_given_seed(tmp_path):

@@ -164,7 +164,8 @@ def test_supersolution_inconclusive_when_obstacle_unreachable():
 
 def test_comparison_equal_forcings():
     spec = random_instance(300, n=10)
-    report = check_comparison_in_f(spec.op, spec.psi, spec.f, spec.f.copy())
+    u = solve_active_set(spec).u
+    report = check_comparison_in_f(spec, u, spec.f.copy())
     assert report.passed
     assert report.worst_violation <= 1e-9
 
@@ -172,14 +173,16 @@ def test_comparison_equal_forcings():
 def test_comparison_constant_versus_zero():
     op = make_op(n=10)
     psi = np.random.default_rng(7).normal(size=10)
-    report = check_comparison_in_f(op, psi, np.ones(10), np.zeros(10))
+    spec = ProblemSpec(op, psi, np.ones(10))
+    report = check_comparison_in_f(spec, solve_active_set(spec).u, np.zeros(10))
     assert report.passed
 
 
 def test_comparison_rejects_unordered_pair():
     op = make_op(n=6)
     with pytest.raises(ValueError):
-        check_comparison_in_f(op, np.zeros(6), np.zeros(6), np.ones(6))
+        check_comparison_in_f(ProblemSpec(op, np.zeros(6), np.zeros(6)), np.zeros(6),
+                              np.ones(6))
 
 
 def test_comparison_random_ordered_pairs():
@@ -187,21 +190,23 @@ def test_comparison_random_ordered_pairs():
     for seed in range(20):
         spec = random_instance(seed + 310, n=10)
         f2 = spec.f - np.abs(rng.normal(size=10))
-        assert check_comparison_in_f(spec.op, spec.psi, spec.f, f2).passed
+        assert check_comparison_in_f(spec, solve_active_set(spec).u, f2).passed
 
 
 def test_linfty_dependence_constant_shift():
     op = make_op(n=12)
     rng = np.random.default_rng(9)
     psi1 = rng.normal(size=12)
-    report = check_linfty_dependence(op, np.zeros(12), psi1, psi1 + 0.3)
+    spec = ProblemSpec(op, psi1, np.zeros(12))
+    report = check_linfty_dependence(spec, solve_active_set(spec).u, psi1 + 0.3)
     assert report.passed
 
 
 def test_linfty_dependence_identical_obstacles():
     op = make_op(n=12)
     psi = np.random.default_rng(10).normal(size=12)
-    report = check_linfty_dependence(op, np.zeros(12), psi, psi.copy())
+    spec = ProblemSpec(op, psi, np.zeros(12))
+    report = check_linfty_dependence(spec, solve_active_set(spec).u, psi.copy())
     assert report.passed
     assert report.worst_violation <= 1e-9
 
@@ -211,7 +216,7 @@ def test_linfty_dependence_random_pairs():
     for seed in range(20):
         spec = random_instance(seed + 330, n=16)
         psi2 = spec.psi + rng.normal(size=16) * 0.7
-        assert check_linfty_dependence(spec.op, spec.f, spec.psi, psi2,
+        assert check_linfty_dependence(spec, solve_active_set(spec).u, psi2,
                                        tol=1e-8).passed
 
 
@@ -355,11 +360,9 @@ def test_all_checkers_pass_on_oracle_solutions():
                                             seed=seed).passed
         assert check_bounds_cinfty(spec, oracle.u, tol=1e-8).passed
         f2 = spec.f - np.abs(rng.normal(size=spec.n))
-        assert check_comparison_in_f(spec.op, spec.psi, spec.f, f2,
-                                     tol=1e-8).passed
+        assert check_comparison_in_f(spec, oracle.u, f2, tol=1e-8).passed
         psi2 = spec.psi + rng.normal(size=spec.n) * 0.5
-        assert check_linfty_dependence(spec.op, spec.f, spec.psi, psi2,
-                                       tol=1e-8).passed
+        assert check_linfty_dependence(spec, oracle.u, psi2, tol=1e-8).passed
         count += 1
     assert count == 100
 
@@ -398,4 +401,4 @@ def test_large_n_active_set_meets_kkt_and_checkers(n, s, c, seed):
     assert check_kkt(spec, sol.u, tol=SolverParams().tol).passed
     assert check_lewy_stampacchia(spec, sol.u).passed
     f2 = f - np.abs(rng.normal(size=n)) * 0.5
-    assert check_comparison_in_f(op, psi, f, f2).passed
+    assert check_comparison_in_f(spec, sol.u, f2).passed
