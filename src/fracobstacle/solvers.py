@@ -254,59 +254,82 @@ def make_solution(spec: ProblemSpec, u, iterations: int, solver_id: str,
 
 def _pcg(matvec, precondition, b: np.ndarray, x0: np.ndarray | None,
          tol: float, max_iter: int) -> np.ndarray:
-    """Preconditioned conjugate gradients for an SPD system M x = b.
+    """Preconditioned conjugate gradients for SPD systems M x = b.
 
-    Stops once the recursively updated residual satisfies
-    ||b - M x||_2 <= tol ||b||_2.  Starts from x0 when that beats x = 0
-    (||b - M x0|| < ||b||), else from 0.  Iterates on the system scaled by
-    max|b|, so that tiny or huge data neither underflow nor overflow.
+    b is one right-hand side or a (k, m) stack of them, and the result has
+    its shape; matvec and precondition map (k, m) stacks row by row.  Each
+    row stops once its recursively updated residual satisfies
+    ||b - M x||_2 <= tol ||b||_2, and is frozen from then on.  It starts
+    from its row of x0 when that beats x = 0 (||b - M x0|| < ||b||), else
+    from 0, and iterates on its system scaled by max|b|, so that tiny or
+    huge data neither underflow nor overflow.  Every row has its own scale,
+    start, step lengths and budget of max_iter iterations, and so gets the
+    bits of its own call.
     """
-    if not b.any():
-        return np.zeros_like(b)
-    scale = float(np.abs(b).max())
-    b = b / scale
+    shape, rows = b.shape, np.atleast_2d(b)
+    out = np.zeros_like(rows)
+    live = np.flatnonzero(rows.any(axis=1))  # the rows not yet converged
+    scale = np.abs(rows[live]).max(axis=1, keepdims=True)
+    b = rows[live] / scale
     x, r = np.zeros_like(b), b.copy()
     if x0 is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            y = x0 / scale
+            y = np.atleast_2d(x0)[live] / scale
             ry = b - matvec(y)
-            if np.linalg.norm(ry) < np.linalg.norm(b):
-                x, r = y, ry
-    stop = tol * np.linalg.norm(b)
-    if np.linalg.norm(r) <= stop:
-        return x * scale
-    z = precondition(r)
-    p = z.copy()
-    rz = float(np.dot(r, z))
-    for _ in range(max_iter):
+            warm = np.sqrt(np.vecdot(ry, ry)) < np.sqrt(np.vecdot(b, b))
+        x[warm], r[warm] = y[warm], ry[warm]
+    stop = tol * np.sqrt(np.vecdot(b, b))
+    for it in range(max_iter + 1):
+        done = np.sqrt(np.vecdot(r, r)) <= stop
+        if done.any():
+            out[live[done]] = x[done] * scale[done]
+            keep = ~done
+            live, scale, stop, x, r = live[keep], scale[keep], stop[keep], x[keep], r[keep]
+            if it:
+                p, rz = p[keep], rz[keep]
+        if not live.size or it == max_iter:
+            break
+        z = precondition(r)
+        if it:
+            rz, rz_old = np.vecdot(r, z), rz
+            p = z + (rz / rz_old)[:, None] * p
+        else:
+            p, rz = z, np.vecdot(r, z)
         q = matvec(p)
-        alpha = rz / float(np.dot(p, q))
+        alpha = (rz / np.vecdot(p, q))[:, None]
         x += alpha * p
         r -= alpha * q
-        if np.linalg.norm(r) <= stop:
-            return x * scale
-        z = precondition(r)
-        rz, rz_old = float(np.dot(r, z)), rz
-        p = z + (rz / rz_old) * p
-    raise IterationLimitError(
-        f"preconditioned conjugate gradients did not reach relative residual "
-        f"{tol:g} within {max_iter} iterations", best=x * scale)
+    if live.size:
+        out[live] = x * scale
+        raise IterationLimitError(
+            f"preconditioned conjugate gradients did not reach relative residual "
+            f"{tol:g} within {max_iter} iterations", best=out.reshape(shape))
+    return out.reshape(shape)
 
 
 def solve_linear(op: FracLapOperator, f) -> np.ndarray:
-    """Solve A w = f (the obstacle-free problem).
+    """Solve A w = f (the obstacle-free problem), or A w_j = f_j for each
+    row of a (k, n) stack.
 
     For n <= DENSE_LIMIT this is cho_solve with the operator's cached
-    Cholesky factor.  Above, conjugate gradients preconditioned by the
-    Strang circulant (op.strang_solve) run on FFT matvecs to relative
-    residual _LINEAR_TOL.  Since A^{-1} is entrywise positive, f >= 0
-    implies w >= 0 (discrete weak maximum principle).
+    Cholesky factor, one LAPACK dpotrs for a whole stack.  Above, conjugate
+    gradients preconditioned by the Strang circulant (op.strang_solve) run
+    on FFT matvecs to relative residual _LINEAR_TOL, each row of a stack on
+    its own (see _pcg).  Each row of a stack gets the bits of its own call.
+    Since A^{-1} is entrywise positive, f >= 0 implies w >= 0 (discrete
+    weak maximum principle).
     """
-    f = op.grid.check_vector(f)
+    n = op.grid.n
+    if np.ndim(f) != 2:
+        f = op.grid.check_vector(f)
+    else:
+        f = np.ascontiguousarray(f, dtype=float)
+        if f.shape[1] != n:
+            raise ValueError(f"stack of grid vectors must have shape (k, {n}), got {f.shape}")
     if not np.isfinite(f).all():
         raise ValueError("right-hand side must be finite")
-    if op.grid.n <= DENSE_LIMIT:
-        return cho_solve(op.cholesky, f)
+    if n <= DENSE_LIMIT:
+        return cho_solve(op.cholesky, f.T).T  # columns are right-hand sides
     return _pcg(op.apply, op.strang_solve, f, None, _LINEAR_TOL, PCG_MAX_ITER)
 
 
@@ -400,14 +423,14 @@ def _free_block_pcg(op: FracLapOperator, free: np.ndarray, psi: np.ndarray,
     full operator (FFT matvec) or the Strang circulant inverse, and restricts
     back to the free nodes F; S is the complement of F.
     """
-    def extend(x):
-        y = np.zeros(op.grid.n)
-        y[free] = x
+    def extend(x):  # a (k, |F|) stack to (k, n)
+        y = np.zeros((len(x), op.grid.n))
+        y[:, free] = x
         return y
 
     rhs = (f - op.apply(np.where(free, 0.0, psi)))[free]
-    return _pcg(lambda x: op.apply(extend(x))[free],
-                lambda r: op.strang_solve(extend(r))[free],
+    return _pcg(lambda x: op.apply(extend(x))[:, free],
+                lambda r: op.strang_solve(extend(r))[:, free],
                 rhs, start[free], _FREE_BLOCK_TOL, PCG_MAX_ITER)
 
 

@@ -11,7 +11,10 @@ checkers assert them at tight tolerances; failures indicate solver or
 assembly bugs, not discretization error.
 
 Checkers are pure given (inputs, seed): identical inputs give bit-identical
-worst violations.  Sampling loops are sequential for reproducibility.
+worst violations.  Draws are taken in sequence; products are chunked: the
+sampling checkers send _CHUNK draws at a time through one matvec or linear
+solve of a stack, whose rows get the bits of single calls, so the results
+do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ __all__ = [
     "check_truncation_identities",
     "run_obstacle_convergence",
 ]
+
+# Draws per stacked matvec or linear solve in the sampling checkers.
+_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -127,13 +133,14 @@ def check_minty(spec: ProblemSpec, u, samples: int = 200, tol: float = 1e-8,
     scale = 1.0 + float(np.abs(spec.psi).max())
     h = spec.op.grid.h
     worst, worst_k = -np.inf, 0
-    for k in range(samples):
-        v = spec.psi + np.abs(rng.normal(size=spec.n)) * scale
-        pairing = h * np.dot(spec.op.apply(v) - spec.f, v - u)
-        vnorm = np.sqrt(h * np.dot(v, v))
-        value = -pairing - tol * vnorm
-        if value > worst:
-            worst, worst_k = value, k
+    for start in range(0, samples, _CHUNK):
+        # rng.normal(size=(k, n)) draws what k calls with size=n draw
+        v = spec.psi + np.abs(rng.normal(size=(min(_CHUNK, samples - start), spec.n))) * scale
+        pairing = h * np.vecdot(spec.op.apply(v) - spec.f, v - u)
+        vnorm = np.sqrt(h * np.vecdot(v, v))
+        for k, value in enumerate((-pairing - tol * vnorm).tolist(), start):
+            if value > worst:
+                worst, worst_k = value, k
     return Report(check_id="minty", passed=worst <= tol, worst_violation=worst,
                   worst_index_or_sample=worst_k, samples=samples, seed=seed, tol=tol)
 
@@ -151,15 +158,15 @@ def check_smallest_supersolution(spec: ProblemSpec, u, samples: int = 200,
     scale = 1.0 + float(np.abs(spec.f).max())
     used = 0
     worst, worst_k = -np.inf, 0
-    for k in range(samples):
-        q = np.abs(rng.normal(size=spec.n)) * scale
-        U = solve_linear(spec.op, spec.f + q)
-        if not np.all(U >= spec.psi):
-            continue
-        used += 1
-        value = float((u - U).max())
-        if value > worst:
-            worst, worst_k = value, k
+    for start in range(0, samples, _CHUNK):
+        q = np.abs(rng.normal(size=(min(_CHUNK, samples - start), spec.n))) * scale
+        for k, U in enumerate(solve_linear(spec.op, spec.f + q), start):
+            if not np.all(U >= spec.psi):
+                continue
+            used += 1
+            value = float((u - U).max())
+            if value > worst:
+                worst, worst_k = value, k
     if used == 0:
         return Report(check_id="smallest_supersolution", passed=True,
                       worst_violation=0.0, worst_index_or_sample=-1,
@@ -245,29 +252,36 @@ def check_truncation_identities(op: FracLapOperator, samples: int = 500,
     rng = np.random.default_rng(seed)
     n, h = op.grid.n, op.grid.h
 
-    def pair(ax, y):  # <A x, y> from the product ax = A x
-        return h * float(np.dot(ax, y))
+    def pair(ax, y):  # <A x_j, y_j> for each row j, from the products ax = A x
+        return h * np.vecdot(ax, y)
 
     worst, worst_k = -np.inf, 0
     strict_margin = np.inf
     strict_cases = 0
-    for k in range(samples):
-        v = rng.normal(size=n)
+    for start in range(0, samples, _CHUNK):
+        size = min(_CHUNK, samples - start)
+        v, m = np.empty((size, n)), np.empty((size, 1))
+        for j in range(size):  # each v, then its level m, as drawn one at a time
+            v[j] = rng.normal(size=n)
+            m[j] = float(np.abs(rng.normal())) + 0.1
         vp, vm = np.maximum(v, 0.0), np.maximum(-v, 0.0)
-        av, avp = op.apply(v), op.apply(vp)  # each used twice below
-        t1 = pair(avp, vm)
-        t2 = pair(av, vm) + pair(op.apply(vm), vm)
-        t3 = -(pair(av, vp) - pair(avp, vp))
-        m = float(np.abs(rng.normal())) + 0.1
         vlm = np.minimum(v, m)
         vmm = np.maximum(v - m, 0.0)
-        t4 = pair(op.apply(vlm), vlm) - pair(av, v) + pair(op.apply(vmm), vmm)
-        value = max(t1, t2, t3, t4)
-        if value > worst:
-            worst, worst_k = value, k
-        if vp.any() and vm.any():
-            strict_cases += 1
-            strict_margin = min(strict_margin, -t1)
+        av, avp, avm, avlm, avmm = np.split(
+            op.apply(np.concatenate((v, vp, vm, vlm, vmm))), 5)
+        t1 = pair(avp, vm)
+        t2 = pair(av, vm) + pair(avm, vm)
+        t3 = -(pair(av, vp) - pair(avp, vp))
+        t4 = pair(avlm, vlm) - pair(av, v) + pair(avmm, vmm)
+        terms = np.stack((t1, t2, t3, t4), axis=1).tolist()
+        strict = (vp.any(axis=1) & vm.any(axis=1)).tolist()
+        for k, (row, is_strict) in enumerate(zip(terms, strict), start):
+            value = max(row)
+            if value > worst:
+                worst, worst_k = value, k
+            if is_strict:
+                strict_cases += 1
+                strict_margin = min(strict_margin, -row[0])
     strict_ok = strict_cases == 0 or strict_margin > 0.0
     note = (f"strict cases: {strict_cases}, min margin: "
             f"{strict_margin if strict_cases else 0.0:.6g}")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from fracobstacle import (
     solve_linear,
     solve_psor,
 )
+
+from fracobstacle.config import parse_config_text
 
 from conftest import make_op, oracle_instance, random_instance
 
@@ -268,12 +272,14 @@ def test_truncation_identities_other_orders():
 
 
 def test_truncation_identities_five_matvecs_per_draw(monkeypatch):
+    # Counts matvec rows: a (k, n) stack is k products, a vector one.
     op = make_op(n=300, s=0.5)
-    calls = []
+    rows = []
     apply = type(op).apply
-    monkeypatch.setattr(type(op), "apply", lambda self, v: calls.append(1) or apply(self, v))
+    monkeypatch.setattr(type(op), "apply",
+                        lambda self, v: rows.append(len(np.atleast_2d(v))) or apply(self, v))
     assert check_truncation_identities(op, samples=7, seed=3).passed
-    assert len(calls) == 5 * 7
+    assert sum(rows) == 5 * 7
 
 
 def test_truncation_reports_are_bit_reproducible():
@@ -365,6 +371,44 @@ def test_all_checkers_pass_on_oracle_solutions():
         assert check_linfty_dependence(spec, oracle.u, psi2, tol=1e-8).passed
         count += 1
     assert count == 100
+
+
+# --- mutation kill table -----------------------------------------------------------
+
+GOLDEN_PG = (Path(__file__).parent / "data" / "golden_pg.cfg").read_text()
+# Which single-solution checkers fail on each wrong candidate.  Sharper
+# sampling in minty or smallest_supersolution must edit this table.
+KILLS = {"kkt": True, "lewy_stampacchia": True, "minty": False,
+         "smallest_supersolution": False, "bounds_cinfty": False}
+
+
+@pytest.mark.parametrize("n", [12, 300])
+def test_single_solution_checkers_kill_table(n):
+    cfg = parse_config_text(GOLDEN_PG)
+    spec = cfg.build_problem(n=n)
+    u, psi = solve_active_set(spec, cfg.solver_params).u, spec.psi
+    free = u - psi > cfg.solver_params.active_tol
+    candidates = {
+        "exact": u,
+        "u+1e-2": np.maximum(psi, np.where(free, u + 1e-2, u)),
+        "u-1e-2": np.maximum(psi, np.where(free, u - 1e-2, u)),
+        "1.1u": np.where(free, 1.1 * u, u),
+        "psi+": spec.default_start(),
+    }
+    tol, samples, seed = cfg.verify_tol, cfg.verify_samples, cfg.seed
+    for name, v in candidates.items():
+        assert name == "exact" or np.abs(v - u).max() > 1e-3
+        reports = [
+            check_kkt(spec, v, tol=tol),
+            check_lewy_stampacchia(spec, v, tol=tol),
+            check_minty(spec, v, samples=samples, tol=tol, seed=seed + 1),
+            check_smallest_supersolution(spec, v, samples=samples, seed=seed + 2, tol=tol),
+            check_bounds_cinfty(spec, v, tol=tol),
+        ]
+        killed = {r.check_id: not r.passed for r in reports}
+        expected = {c: name != "exact" and kills for c, kills in KILLS.items()}
+        assert killed == expected, name
+        assert not any(r.inconclusive for r in reports)
 
 
 # --- large n: the matrix-free active set -----------------------------------------------
