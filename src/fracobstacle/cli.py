@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -121,27 +122,25 @@ def run_single(spec: ProblemSpec, method: str, params: SolverParams,
     """
     if method in SOLVERS:
         return SOLVERS[method](spec, params), None
-    if method == "penalty":
-        reduced = reduce_to_zero_forcing(spec)
-        rspec = ProblemSpec(op=spec.op, psi=reduced.psi_reduced, f=np.zeros(spec.n))
-        try:
-            result = solve_penalty(rspec, penalty_params, params)
-        except IterationLimitError as exc:  # its best is a Solution of rspec
-            exc.best = make_solution(spec, exc.best.u + reduced.shift,
-                                     exc.best.iterations, "penalty", False, params)
-            raise
-        u_full = result.solution.u + reduced.shift
-        sol = make_solution(spec, u_full, result.outer_iterations, "penalty",
-                            True, params)
-        extras = {
-            "epsilon": result.epsilon,
-            "outer_iterations": result.outer_iterations,
-            "damping_used": result.damping_used,
-            "max_gap": float((result.u_eps - result.solution.u).max()),
-            "u_eps": result.u_eps,
-        }
-        return sol, extras
-    raise ConfigError(f"unknown solver method {method!r}")
+    reduced = reduce_to_zero_forcing(spec)  # method == "penalty"
+    rspec = ProblemSpec(op=spec.op, psi=reduced.psi_reduced, f=np.zeros(spec.n))
+    try:
+        result = solve_penalty(rspec, penalty_params, params)
+    except IterationLimitError as exc:  # its best is a Solution of rspec
+        exc.best = make_solution(spec, exc.best.u + reduced.shift,
+                                 exc.best.iterations, "penalty", False, params)
+        raise
+    u_full = result.solution.u + reduced.shift
+    sol = make_solution(spec, u_full, result.outer_iterations, "penalty",
+                        True, params)
+    extras = {
+        "epsilon": result.epsilon,
+        "outer_iterations": result.outer_iterations,
+        "damping_used": result.damping_used,
+        "max_gap": float((result.u_eps - result.solution.u).max()),
+        "u_eps": result.u_eps,
+    }
+    return sol, extras
 
 
 def _base_record(command: str, cfg: RunConfig) -> dict:
@@ -333,9 +332,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             method, pparams = cfg.solver_method, cfg.penalty_params
             if cfg.sweep_axis == "epsilon":  # always exercises the penalty route
                 method = "penalty"
-                pparams = PenaltyParams(epsilon=float(value),
-                                        picard_damping=pparams.picard_damping,
-                                        max_outer=pparams.max_outer)
+                pparams = dataclasses.replace(pparams, epsilon=float(value))
             sol, extras = run_single(spec, method, cfg.solver_params, pparams)
             viol, _ = kkt_violation(spec, sol.u)
             row["solver"] = sol.solver_id
@@ -363,10 +360,10 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     started = time.perf_counter()
     spec = cfg.build_problem()
     record = _base_record("oracle-check", cfg)
-    oracle = brute_force_oracle(spec, cfg.solver_params)
-    record.update(_solution_fields(spec, oracle, None))
-    record["reports"] = []
     try:
+        oracle = brute_force_oracle(spec, cfg.solver_params)
+        record.update(_solution_fields(spec, oracle, None))
+        record["reports"] = []
         deviations = _oracle_deviations(spec, oracle, cfg.solver_params)
     except SolverError as exc:
         return _solver_failure(record, exc, cfg.output_json, started)

@@ -86,18 +86,22 @@ _BASE_SCHEMA = {
     "seed": (_parse_int, 0),
 }
 
-_OBSTACLE_KEYS = {
-    "bump": {"obstacle.c": _REQUIRED, "obstacle.d": _REQUIRED, "obstacle.m": _REQUIRED},
-    "plateau": {"obstacle.c": _REQUIRED, "obstacle.l": _REQUIRED, "obstacle.r": _REQUIRED},
-    "negative": {"obstacle.c": _REQUIRED},
-    "custom": {"obstacle.values": _REQUIRED},
+# preset -> (its required parameters, its values at the nodes x of grid g
+# from the parameters p); None marks "custom", whose values come verbatim.
+_OBSTACLES = {
+    "bump": (("c", "d", "m"), lambda x, g, p: p["c"] - p["d"] * (x - p["m"]) ** 2),
+    "plateau": (("c", "l", "r"),
+                lambda x, g, p: np.where((x >= p["l"]) & (x <= p["r"]), p["c"], -p["c"])),
+    "negative": (("c",), lambda x, g, p: np.full(g.n, -p["c"])),
+    "custom": (("values",), None),
 }
 
-_FORCING_KEYS = {
-    "zero": {},
-    "constant": {"forcing.c": _REQUIRED},
-    "sine": {"forcing.amplitude": _REQUIRED, "forcing.frequency": _REQUIRED},
-    "custom": {"forcing.values": _REQUIRED},
+_FORCINGS = {
+    "zero": ((), lambda x, g, p: np.zeros(g.n)),
+    "constant": (("c",), lambda x, g, p: np.full(g.n, p["c"])),
+    "sine": (("amplitude", "frequency"), lambda x, g, p: p["amplitude"] * np.sin(
+        np.pi * p["frequency"] * (x - g.a) / (g.b - g.a))),
+    "custom": (("values",), None),
 }
 
 _PENALTY_SCHEMA = {
@@ -138,37 +142,12 @@ class RunConfig:
         return Grid(a=self.a, b=self.b, n=self.n)
 
     def obstacle_vector(self, grid: Grid | None = None) -> np.ndarray:
-        grid = grid or self.grid()
-        x = grid.nodes()
-        p = self.obstacle_params
-        if self.obstacle_preset == "bump":
-            return p["c"] - p["d"] * (x - p["m"]) ** 2
-        if self.obstacle_preset == "plateau":
-            return np.where((x >= p["l"]) & (x <= p["r"]), p["c"], -p["c"])
-        if self.obstacle_preset == "negative":
-            return np.full(grid.n, -p["c"])
-        values = np.asarray(p["values"], dtype=float)
-        if values.shape != (grid.n,):
-            raise ConfigError(
-                f"obstacle.values has {values.size} entries, grid has {grid.n} nodes")
-        return values
+        return _preset_vector("obstacle", _OBSTACLES[self.obstacle_preset],
+                              self.obstacle_params, grid or self.grid())
 
     def forcing_vector(self, grid: Grid | None = None) -> np.ndarray:
-        grid = grid or self.grid()
-        x = grid.nodes()
-        p = self.forcing_params
-        if self.forcing_preset == "zero":
-            return np.zeros(grid.n)
-        if self.forcing_preset == "constant":
-            return np.full(grid.n, p["c"])
-        if self.forcing_preset == "sine":
-            return p["amplitude"] * np.sin(
-                np.pi * p["frequency"] * (x - grid.a) / (grid.b - grid.a))
-        values = np.asarray(p["values"], dtype=float)
-        if values.shape != (grid.n,):
-            raise ConfigError(
-                f"forcing.values has {values.size} entries, grid has {grid.n} nodes")
-        return values
+        return _preset_vector("forcing", _FORCINGS[self.forcing_preset],
+                              self.forcing_params, grid or self.grid())
 
     def build_problem(self, n: int | None = None, s: float | None = None) -> ProblemSpec:
         """Assemble the ProblemSpec, optionally overriding n or s (sweeps)."""
@@ -176,6 +155,17 @@ class RunConfig:
         op = assemble_operator(grid, self.s if s is None else s)
         return ProblemSpec(op=op, psi=self.obstacle_vector(grid),
                            f=self.forcing_vector(grid))
+
+
+def _preset_vector(family: str, preset: tuple, params: dict, grid: Grid) -> np.ndarray:
+    values = preset[1]
+    if values is not None:
+        return values(grid.nodes(), grid, params)
+    values = np.asarray(params["values"], dtype=float)
+    if values.shape != (grid.n,):
+        raise ConfigError(
+            f"{family}.values has {values.size} entries, grid has {grid.n} nodes")
+    return values
 
 
 def _read_pairs(text: str) -> dict:
@@ -204,13 +194,15 @@ def parse_config_text(text: str) -> RunConfig:
     obstacle_preset = pairs.get("obstacle.preset")
     if obstacle_preset is None:
         raise ConfigError("missing required key 'obstacle.preset'")
-    if obstacle_preset not in _OBSTACLE_KEYS:
-        raise ConfigError(
-            f"obstacle.preset must be one of {sorted(_OBSTACLE_KEYS)}, got {obstacle_preset!r}")
     forcing_preset = pairs.get("forcing.preset", "zero")
-    if forcing_preset not in _FORCING_KEYS:
-        raise ConfigError(
-            f"forcing.preset must be one of {sorted(_FORCING_KEYS)}, got {forcing_preset!r}")
+    schema = dict(_BASE_SCHEMA)
+    for family, table, preset in (("obstacle", _OBSTACLES, obstacle_preset),
+                                  ("forcing", _FORCINGS, forcing_preset)):
+        if preset not in table:
+            raise ConfigError(f"{family}.preset must be one of {sorted(table)}, got {preset!r}")
+        for name in table[preset][0]:
+            parser = _parse_float_list if name == "values" else _parse_float
+            schema[f"{family}.{name}"] = (parser, _REQUIRED)
     solver_method = pairs.get("solver.method", "psor")
     if solver_method not in _SOLVER_METHODS:
         raise ConfigError(
@@ -219,13 +211,6 @@ def parse_config_text(text: str) -> RunConfig:
     if sweep_axis is not None and sweep_axis not in _SWEEP_AXES:
         raise ConfigError(f"sweep.axis must be one of {list(_SWEEP_AXES)}, got {sweep_axis!r}")
 
-    schema = dict(_BASE_SCHEMA)
-    for key in _OBSTACLE_KEYS[obstacle_preset]:
-        parser = _parse_float_list if key.endswith(".values") else _parse_float
-        schema[key] = (parser, _REQUIRED)
-    for key in _FORCING_KEYS[forcing_preset]:
-        parser = _parse_float_list if key.endswith(".values") else _parse_float
-        schema[key] = (parser, _REQUIRED)
     penalty_enabled = solver_method == "penalty" or sweep_axis == "epsilon"
     if penalty_enabled:
         schema.update(_PENALTY_SCHEMA)

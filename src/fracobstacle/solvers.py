@@ -19,9 +19,9 @@ operators may run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +59,8 @@ _LINEAR_TOL = 1e-12
 _FREE_BLOCK_TOL = 1e-15
 # Brute-force enumeration is restricted to 2^n candidate active sets.
 ORACLE_MAX_N = 14
+# The oracle keeps candidates with u >= psi and A u - f >= 0 within this.
+ORACLE_FEAS_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -68,13 +70,12 @@ class SolverError(RuntimeError):
 class IterationLimitError(SolverError):
     """Solver hit its iteration budget; carries the best iterate found."""
 
-    def __init__(self, message: str, best=None, violation: float | None = None):
+    def __init__(self, message: str, best):
         super().__init__(message)
         self.best = best
-        self.violation = violation
 
 
-class OracleAmbiguityError(RuntimeError):
+class OracleAmbiguityError(SolverError):
     """Zero or multiple KKT points within tolerance: degenerate instance."""
 
 
@@ -102,11 +103,6 @@ class ProblemSpec:
     def n(self) -> int:
         return self.op.grid.n
 
-    def feasible(self, v, slack: float = 0.0) -> bool:
-        """Membership predicate for K, with optional nonnegative slack."""
-        v = self.op.grid.check_vector(v)
-        return bool(np.all(v >= self.psi - slack))
-
     def default_start(self) -> np.ndarray:
         """psi^+, the canonical feasible point."""
         return np.maximum(self.psi, 0.0)
@@ -130,27 +126,11 @@ class SolverParams:
             raise ValueError("active_tol must be positive")
 
 
-def _smoothstep_profile(epsilon: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Cubic cutoff: 1 for t <= 0, 0 for t >= eps, C^1 monotone between."""
-
-    def theta(t):
-        w = np.clip(np.asarray(t, float) / epsilon, 0.0, 1.0)
-        return 1.0 - 3.0 * w**2 + 2.0 * w**3
-
-    return theta
-
-
 @dataclass(frozen=True)
 class PenaltyParams:
-    """Penalty width eps and cutoff profile theta_eps.
-
-    theta is any callable with theta(t) = 1 for t <= 0, theta(t) = 0 for
-    t >= epsilon, smooth and nonincreasing in between, 0 <= theta <= 1.
-    Defaults to the cubic smoothstep.
-    """
+    """Penalty width eps, Picard damping and outer-iteration budget."""
 
     epsilon: float = 1e-2
-    theta: Callable[[np.ndarray], np.ndarray] | None = None
     picard_damping: float = 1.0
     max_outer: int = 500_000
 
@@ -161,20 +141,17 @@ class PenaltyParams:
             raise ValueError("picard_damping must lie in (0, 1]")
         if self.max_outer < 1:
             raise ValueError("max_outer must be positive")
-        if self.theta is None:
-            object.__setattr__(self, "theta", _smoothstep_profile(self.epsilon))
-        t = np.linspace(-self.epsilon, 2.0 * self.epsilon, 513)
-        vals = np.asarray(self.theta(t), dtype=float)
-        if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
-            raise ValueError("theta must take values in [0, 1]")
-        if np.any(np.diff(vals) > 1e-12):
-            raise ValueError("theta must be nonincreasing")
+
+    def theta(self, t) -> np.ndarray:
+        """Cubic smoothstep cutoff theta_eps: 1 for t <= 0, 0 for t >= eps,
+        C^1 and nonincreasing between."""
+        w = np.clip(np.asarray(t, float) / self.epsilon, 0.0, 1.0)
+        return 1.0 - 3.0 * w**2 + 2.0 * w**3
 
     def lipschitz_bound(self) -> float:
-        """Upper bound on |theta'|, estimated on a fine sample."""
+        """|theta'| estimated on a fine sample: just below its max 1.5 / eps."""
         t = np.linspace(0.0, self.epsilon, 4097)
-        vals = np.asarray(self.theta(t), dtype=float)
-        return float(np.abs(np.diff(vals)).max() / (t[1] - t[0]))
+        return float(np.abs(np.diff(self.theta(t))).max() / (t[1] - t[0]))
 
 
 @dataclass(frozen=True)
@@ -191,7 +168,6 @@ class Solution:
     iterations: int
     solver_id: str
     converged: bool
-    energy_trace: np.ndarray | None = field(default=None, repr=False)
 
 
 class PenaltyResult(NamedTuple):
@@ -242,14 +218,21 @@ def _kkt_met(spec: ProblemSpec, u: np.ndarray, residual: np.ndarray, tol: float)
 
 
 def make_solution(spec: ProblemSpec, u, iterations: int, solver_id: str,
-                  converged: bool, params: SolverParams,
-                  energy_trace: np.ndarray | None = None) -> Solution:
+                  converged: bool, params: SolverParams) -> Solution:
     u = spec.op.grid.check_vector(u).copy()
     residual = spec.op.apply(u) - spec.f
     active = np.flatnonzero(u - spec.psi <= params.active_tol)
     return Solution(u=u, residual=residual, active_set=active,
-                    iterations=iterations, solver_id=solver_id,
-                    converged=converged, energy_trace=energy_trace)
+                    iterations=iterations, solver_id=solver_id, converged=converged)
+
+
+def _iteration_limit(spec: ProblemSpec, message: str, u, iterations: int,
+                     solver_id: str, params: SolverParams) -> IterationLimitError:
+    """The give-up error of PSOR, projected gradient and the active set: u
+    as the best Solution, its KKT violation appended to the message."""
+    best = make_solution(spec, u, iterations, solver_id, False, params)
+    viol, _ = kkt_violation(spec, best.u, best.residual)
+    return IterationLimitError(f"{message} (violation {viol:.3e})", best)
 
 
 def _pcg(matvec, precondition, b: np.ndarray, x0: np.ndarray | None,
@@ -373,11 +356,9 @@ def solve_psor(spec: ProblemSpec, params: SolverParams | None = None) -> Solutio
         z = op.apply(u)  # also the next sweep's A u
         if _kkt_met(spec, u, z - spec.f, params.tol):
             return make_solution(spec, u, sweep, "psor", True, params)
-    best = make_solution(spec, u, params.max_iter, "psor", False, params)
-    viol, _ = kkt_violation(spec, u)
-    raise IterationLimitError(
-        f"PSOR did not reach tol {params.tol:g} in {params.max_iter} sweeps "
-        f"(violation {viol:.3e})", best=best, violation=viol)
+    raise _iteration_limit(
+        spec, f"PSOR did not reach tol {params.tol:g} in {params.max_iter} sweeps",
+        u, params.max_iter, "psor", params)
 
 
 def solve_projected_gradient(spec: ProblemSpec, params: SolverParams | None = None) -> Solution:
@@ -385,34 +366,26 @@ def solve_projected_gradient(spec: ProblemSpec, params: SolverParams | None = No
 
     u <- max(psi, u - eta (A u - f)) with eta = 1/lambda_max_bound, which
     guarantees monotone energy descent J(u_{k+1}) <= J(u_k).  Stopping rule
-    as for PSOR.  The energy at every iterate is recorded in energy_trace.
+    as for PSOR.
     """
     params = params or SolverParams()
     op, psi, f = spec.op, spec.psi, spec.f
-    h = op.grid.h
     eta = 1.0 / op.lambda_max_bound()
     u = spec.default_start()
-    energies = []
     for it in range(params.max_iter + 1):
         r = op.apply(u)
-        energies.append(h * (0.5 * np.dot(u, r) - np.dot(f, u)))
         r -= f
         if _kkt_met(spec, u, r, params.tol):
-            return make_solution(spec, u, it, "projected_gradient", True, params,
-                                 energy_trace=np.asarray(energies))
+            return make_solution(spec, u, it, "projected_gradient", True, params)
         if it == params.max_iter:  # no step past the last iterate checked
             break
         # u <- max(psi, u - eta r) in place, the same operations in order
         r *= eta
         u -= r
         np.maximum(psi, u, out=u)
-    best = make_solution(spec, u, params.max_iter, "projected_gradient", False,
-                         params, energy_trace=np.asarray(energies))
-    viol, _ = kkt_violation(spec, u)
-    raise IterationLimitError(
-        f"projected gradient did not reach tol {params.tol:g} in "
-        f"{params.max_iter} iterations (violation {viol:.3e})",
-        best=best, violation=viol)
+    raise _iteration_limit(
+        spec, f"projected gradient did not reach tol {params.tol:g} in "
+        f"{params.max_iter} iterations", u, params.max_iter, "projected_gradient", params)
 
 
 def _free_block_pcg(op: FracLapOperator, free: np.ndarray, psi: np.ndarray,
@@ -479,11 +452,8 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
             best, best_viol = u, viol
         active = (active | primal_bad) & ~dual_bad
     passes = len(seen)  # params.max_iter unless an active set came back
-    raise IterationLimitError(
-        f"active set did not settle in {passes} passes "
-        f"(violation {best_viol:.3e})",
-        best=make_solution(spec, best, passes, "active_set", False, params),
-        violation=best_viol)
+    raise _iteration_limit(spec, f"active set did not settle in {passes} passes",
+                           best, passes, "active_set", params)
 
 
 # Obstacle solvers by method name, in the order the CLI reports them.  The
@@ -599,8 +569,8 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
                 if halvings >= 4:
                     raise IterationLimitError(
                         f"penalty Picard stagnated at residual {best_res:.3e} "
-                        f"after {halvings} dampings", violation=best_res,
-                        best=make_solution(spec, exact.u, it, "penalty", False, params))
+                        f"after {halvings} dampings",
+                        make_solution(spec, exact.u, it, "penalty", False, params))
                 halvings += 1
                 d *= 0.5
                 u_eps = best_iterate.copy()
@@ -609,8 +579,8 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
         if it >= penalty_params.max_outer:
             raise IterationLimitError(
                 f"penalty Picard exceeded max_outer={penalty_params.max_outer} "
-                f"(residual {res:.3e})", violation=res,
-                best=make_solution(spec, exact.u, it, "penalty", False, params))
+                f"(residual {res:.3e})",
+                make_solution(spec, exact.u, it, "penalty", False, params))
         # u_eps <- (1 - d) u_eps + d A^{-1} rhs in place, the same operations
         w = solve_linear(op, rhs)
         w *= d
@@ -628,15 +598,14 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
                          epsilon=eps, damping_used=d)
 
 
-def brute_force_oracle(spec: ProblemSpec, params: SolverParams | None = None,
-                       feas_tol: float = 1e-10) -> Solution:
+def brute_force_oracle(spec: ProblemSpec, params: SolverParams | None = None) -> Solution:
     """Ground truth by enumeration of all 2^n candidate active sets.
 
     For each subset S solve the constrained linear system (u = psi on S,
     A u = f off S) and keep the candidates satisfying u >= psi and
-    A u - f >= 0 within feas_tol.  All surviving candidates must agree on u
-    (subsets differing only in degenerate biactive nodes produce the same
-    vector); zero survivors or several distinct ones raise
+    A u - f >= 0 within ORACLE_FEAS_TOL.  All surviving candidates must
+    agree on u (subsets differing only in degenerate biactive nodes produce
+    the same vector); zero survivors or several distinct ones raise
     OracleAmbiguityError so callers can regenerate the instance.
     """
     params = params or SolverParams()
@@ -657,7 +626,7 @@ def brute_force_oracle(spec: ProblemSpec, params: SolverParams | None = None,
             except np.linalg.LinAlgError:
                 continue
         r = A @ u - f
-        if np.all(u >= psi - feas_tol) and np.all(r >= -feas_tol):
+        if np.all(u >= psi - ORACLE_FEAS_TOL) and np.all(r >= -ORACLE_FEAS_TOL):
             candidates.append(u)
     if not candidates:
         raise OracleAmbiguityError("no candidate active set satisfies the KKT system")

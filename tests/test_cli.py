@@ -427,6 +427,23 @@ def test_exit_3_when_oracle_check_solver_hits_iteration_limit(tmp_path, capsys):
     assert "error" in record
 
 
+@pytest.mark.parametrize("command", [["oracle-check"], ["verify", "--solver", "activeset"]])
+def test_exit_3_when_the_oracle_finds_no_kkt_point(tmp_path, capsys, command):
+    # With f = 1e7 the solution is all free, and the roundoff in that
+    # candidate's residual (about -7e-9) exceeds the oracle's absolute
+    # feasibility tolerance of 1e-10: no candidate survives.
+    text = BASE_CONFIG.replace("obstacle.c = 0.5\nobstacle.d = 4.0",
+                               "obstacle.c = 0.4\nobstacle.d = 3.0")
+    text = text.replace("forcing.preset = zero", "forcing.preset = constant\nforcing.c = 1e7")
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "out.json")
+    assert main([*command, "--config", cfg, "--out", out]) == 3
+    assert "solver failure: no candidate active set" in capsys.readouterr().err
+    record = load_record(out)
+    assert record["reports"] == []
+    assert record["error"] == "no candidate active set satisfies the KKT system"
+
+
 def test_exit_4_on_injected_corruption(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["verify", "--config", cfg, "--inject-corruption"]) == 4
