@@ -49,6 +49,7 @@ from .verify import (
     check_minty,
     check_smallest_supersolution,
     check_truncation_identities,
+    _worst,
 )
 
 SCHEMA_VERSION = 1
@@ -173,16 +174,18 @@ def _solution_fields(spec: ProblemSpec, sol: Solution, extras: dict | None) -> d
 def _write_json(record: dict, path: str | None, started: float):
     record["timing_seconds"] = time.perf_counter() - started
     if path:
+        text = dumps(record) + "\n"  # before open, so a failed dumps leaves no file
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dumps(record))
-            fh.write("\n")
+            fh.write(text)
 
 
-def _solve_failure_fields(cfg: RunConfig, spec: ProblemSpec, exc: SolverError) -> dict:
-    """Solution fields of a failed main solve: its best Solution, else psi^+."""
+def _solve_failure_fields(cfg: RunConfig, spec: ProblemSpec, exc: SolverError,
+                          solver_id: str | None = None) -> dict:
+    """Solution fields of a failed solve: its best Solution, else psi^+."""
     best = getattr(exc, "best", None)
     sol = best if isinstance(best, Solution) else make_solution(
-        spec, spec.default_start(), 0, cfg.solver_method, False, cfg.solver_params)
+        spec, spec.default_start(), 0, solver_id or cfg.solver_method, False,
+        cfg.solver_params)
     return _solution_fields(spec, sol, None)
 
 
@@ -266,11 +269,8 @@ def _oracle_deviations(spec: ProblemSpec, oracle: Solution,
 
 def _oracle_agreement_report(cfg: RunConfig, spec: ProblemSpec) -> Report:
     oracle = brute_force_oracle(spec, cfg.solver_params)
-    deviations = list(_oracle_deviations(spec, oracle, cfg.solver_params).values())
-    worst = max(deviations)
-    return Report(check_id="oracle_agreement", passed=worst <= ORACLE_AGREE_TOL,
-                  worst_violation=worst, worst_index_or_sample=deviations.index(worst),
-                  samples=len(deviations), seed=cfg.seed, tol=ORACLE_AGREE_TOL)
+    deviations = _oracle_deviations(spec, oracle, cfg.solver_params)
+    return _worst("oracle_agreement", list(deviations.values()), ORACLE_AGREE_TOL, cfg.seed)
 
 
 def cmd_verify(cfg: RunConfig, inject_corruption: bool = False) -> int:
@@ -366,6 +366,8 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
         record["reports"] = []
         deviations = _oracle_deviations(spec, oracle, cfg.solver_params)
     except SolverError as exc:
+        if "u" not in record:  # the oracle itself failed
+            record.update(_solve_failure_fields(cfg, spec, exc, "oracle"))
         return _solver_failure(record, exc, cfg.output_json, started)
     worst = max(deviations.values())
     record["oracle_deviations"] = deviations

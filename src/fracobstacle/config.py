@@ -238,6 +238,9 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError(f"grid.n must be positive, got {n}")
     if not 0.0 < s < 1.0:
         raise ConfigError(f"operator.s must lie in (0, 1), got {s}")
+    samples = values["verify.samples"]
+    if samples < 1:
+        raise ConfigError(f"verify.samples must be at least 1, got {samples}")
 
     try:
         solver_params = SolverParams(
@@ -257,8 +260,6 @@ def parse_config_text(text: str) -> RunConfig:
         sv = values["sweep.values"]
         if sv is None:
             raise ConfigError("sweep.axis requires sweep.values")
-        if len(sv) < 1:
-            raise ConfigError("sweep.values must be nonempty")
         diffs = np.diff(sv)
         if len(sv) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("sweep.values must be strictly monotone")
@@ -285,7 +286,7 @@ def parse_config_text(text: str) -> RunConfig:
         penalty_params=penalty_params,
         sweep_axis=sweep_axis,
         sweep_values=values["sweep.values"],
-        verify_samples=values["verify.samples"],
+        verify_samples=samples,
         verify_tol=values["verify.tol"],
         output_json=values["output.json"],
         output_csv=values["output.csv"],

@@ -18,7 +18,7 @@ from fracobstacle import (
     solve_psor,
     solvers,
 )
-from fracobstacle.cli import _fmt_float, dumps, main
+from fracobstacle.cli import _fmt_float, _write_json, dumps, main
 from fracobstacle.config import ConfigError, parse_config_text
 
 from conftest import count_active_set_calls, count_psor_calls
@@ -157,6 +157,53 @@ def test_parse_sweep_validation():
         parse_config_text(BASE_CONFIG + "\nsweep.values = 0.3, 0.5\n")
 
 
+def _drop(text, prefix):
+    return "\n".join(line for line in text.splitlines() if not line.startswith(prefix))
+
+
+_SWEEP = "\nsweep.axis = {}\nsweep.values = {}\n"
+CONFIG_ERRORS = {
+    "bad number": (BASE_CONFIG.replace("operator.s = 0.5", "operator.s = half"),
+                   "key 'operator.s': expected a number"),
+    "empty list": (BASE_CONFIG + _SWEEP.format("s", ","),
+                   "key 'sweep.values': expected a comma-separated list"),
+    "no equals sign": (BASE_CONFIG + "\ngrid.n 9\n", "expected 'key = value'"),
+    "empty value": (BASE_CONFIG.replace("grid.n = 8", "grid.n ="), "empty key or value"),
+    "no preset": (_drop(BASE_CONFIG, "obstacle.preset"),
+                  "missing required key 'obstacle.preset'"),
+    "unknown preset": (BASE_CONFIG.replace("preset = bump", "preset = cone"),
+                       "obstacle.preset must be one of"),
+    "bad sweep axis": (BASE_CONFIG + _SWEEP.format("h", "1, 2"), "sweep.axis must be one of"),
+    "no nodes": (BASE_CONFIG.replace("grid.n = 8", "grid.n = 0"), "grid.n must be positive"),
+    "bad penalty": (BASE_CONFIG.replace("method = activeset", "method = penalty")
+                    + "\npenalty.epsilon = -1\n", "epsilon must be positive"),
+    "fractional n": (BASE_CONFIG + _SWEEP.format("n", "8, 9.5"),
+                     "n-axis sweep.values must be positive integers"),
+    "custom n sweep": (BASE_CONFIG.replace("forcing.preset = zero",
+                                           "forcing.preset = custom\nforcing.values = "
+                                           + ", ".join(["1"] * 8))
+                       + _SWEEP.format("n", "8, 16"), "cannot use 'custom' presets"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_config_errors_exit_2(tmp_path, capsys, case):
+    text, message = CONFIG_ERRORS[case]
+    assert main(["solve", "--config", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_rejects_nonpositive_samples_and_writes_nothing(tmp_path, capsys, samples):
+    text = (DATA_DIR / "golden_verify.cfg").read_text()
+    text = text.replace("verify.samples = 20", f"verify.samples = {samples}")
+    out = tmp_path / "out.json"
+    assert main(["verify", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert f"verify.samples must be at least 1, got {samples}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- JSON emitter ------------------------------------------------------------------
 
 def test_float_format_round_trips():
@@ -173,6 +220,13 @@ def test_float_format_keeps_float_typing():
 def test_dumps_rejects_non_finite():
     with pytest.raises(ValueError):
         dumps({"v": float("nan")})
+
+
+def test_write_json_leaves_no_file_for_a_record_it_cannot_serialize(tmp_path):
+    out = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        _write_json({"worst": float("-inf")}, str(out), 0.0)
+    assert not out.exists()
 
 
 def test_dumps_matches_json_semantics():
@@ -427,21 +481,57 @@ def test_exit_3_when_oracle_check_solver_hits_iteration_limit(tmp_path, capsys):
     assert "error" in record
 
 
+# With f = 1e7 the solution is all free, and the roundoff in that candidate's
+# residual (about -7e-9) exceeds the oracle's absolute feasibility tolerance
+# of 1e-10: no candidate survives.
+NO_KKT_POINT = BASE_CONFIG.replace(
+    "obstacle.c = 0.5\nobstacle.d = 4.0", "obstacle.c = 0.4\nobstacle.d = 3.0").replace(
+    "forcing.preset = zero", "forcing.preset = constant\nforcing.c = 1e7")
+
+
 @pytest.mark.parametrize("command", [["oracle-check"], ["verify", "--solver", "activeset"]])
 def test_exit_3_when_the_oracle_finds_no_kkt_point(tmp_path, capsys, command):
-    # With f = 1e7 the solution is all free, and the roundoff in that
-    # candidate's residual (about -7e-9) exceeds the oracle's absolute
-    # feasibility tolerance of 1e-10: no candidate survives.
-    text = BASE_CONFIG.replace("obstacle.c = 0.5\nobstacle.d = 4.0",
-                               "obstacle.c = 0.4\nobstacle.d = 3.0")
-    text = text.replace("forcing.preset = zero", "forcing.preset = constant\nforcing.c = 1e7")
-    cfg = write_config(tmp_path, text)
+    cfg = write_config(tmp_path, NO_KKT_POINT)
     out = str(tmp_path / "out.json")
     assert main([*command, "--config", cfg, "--out", out]) == 3
     assert "solver failure: no candidate active set" in capsys.readouterr().err
     record = load_record(out)
     assert record["reports"] == []
     assert record["error"] == "no candidate active set satisfies the KKT system"
+
+
+def test_exit_3_oracle_failure_records_psi_plus_as_the_oracle(tmp_path):
+    # The oracle has no iterate to keep, so the record holds psi^+ as an
+    # unconverged oracle solution, as a failed main solve without one does.
+    out = str(tmp_path / "out.json")
+    assert main(["oracle-check", "--config", write_config(tmp_path, NO_KKT_POINT),
+                 "--out", out]) == 3
+    record = load_record(out)
+    spec = parse_config_text(NO_KKT_POINT).build_problem()
+    u = spec.default_start()
+    assert record["solver_id"] == "oracle"
+    assert record["converged"] is False and record["iterations"] == 0
+    assert record["u"] == u.tolist()
+    assert record["residual"] == (spec.op.apply(u) - spec.f).tolist()
+    assert record["energy"] == spec.op.energy(u, spec.f)
+    assert list(record)[-3:] == ["reports", "error", "timing_seconds"]
+    assert "oracle_deviations" not in record
+
+
+def test_exit_3_when_penalty_picard_stagnates(tmp_path, capsys):
+    # A damping of 1e-12 leaves the Picard iterate where it starts, so the
+    # loop halves the damping four times and then gives up.
+    text = BASE_CONFIG.replace("solver.method = activeset", "solver.method = penalty")
+    text = text.replace("forcing.preset = zero", "forcing.preset = constant\nforcing.c = -0.5")
+    text += "\npenalty.damping = 1e-12\n"
+    out = str(tmp_path / "out.json")
+    assert main(["solve", "--config", write_config(tmp_path, text), "--out", out]) == 3
+    assert "solver failure: penalty Picard stagnated" in capsys.readouterr().err
+    record = load_record(out)
+    assert record["solver_id"] == "penalty"
+    assert record["converged"] is False and record["iterations"] == 10001
+    assert record["error"].startswith("penalty Picard stagnated at residual ")
+    assert record["error"].endswith(" after 4 dampings")
 
 
 def test_exit_4_on_injected_corruption(tmp_path):

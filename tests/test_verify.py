@@ -24,10 +24,53 @@ from fracobstacle import (
 )
 
 from fracobstacle.config import parse_config_text
+from fracobstacle.verify import _worst
 
 from conftest import make_op, oracle_instance, random_instance
 
 PARAMS = SolverParams(tol=1e-10)
+GOLDEN_VERIFY = (Path(__file__).parent / "data" / "golden_verify.cfg").read_text()
+
+
+# --- the worst-violation reduction ---------------------------------------------------
+
+def test_worst_takes_the_first_maximum():
+    report = _worst("x", np.array([-1.0, 2.0, 0.5, 2.0]), tol=2.0, seed=4, note="n")
+    assert (report.worst_index_or_sample, report.worst_violation) == (1, 2.0)
+    assert report.passed and report.samples == 4 and report.seed == 4
+    assert not _worst("x", np.array([2.0]), tol=1.0).passed
+    assert not _worst("x", np.array([0.0]), tol=1.0, holds=False).passed
+
+
+def test_worst_a_nan_is_worst_and_fails():
+    report = _worst("x", np.array([3.0, np.nan, 1.0, np.nan]), tol=10.0)
+    assert report.worst_index_or_sample == 1 and np.isnan(report.worst_violation)
+    assert not report.passed
+
+
+def test_sampling_checkers_fail_on_a_nan_in_u():
+    cfg = parse_config_text(GOLDEN_VERIFY)
+    spec = cfg.build_problem()
+    u = solve_active_set(spec, cfg.solver_params).u
+    bad = u.copy()
+    bad[5] = np.nan
+    seed, samples, tol = cfg.seed, cfg.verify_samples, cfg.verify_tol
+    minty = check_minty(spec, bad, samples=samples, tol=tol, seed=seed + 1)
+    assert not minty.passed and np.isnan(minty.worst_violation)
+    good, nan = (check_smallest_supersolution(spec, v, samples=samples, seed=seed + 2, tol=tol)
+                 for v in (u, bad))
+    assert good.passed and good.note == "feasible draws: 4/20"
+    assert not nan.passed and not nan.inconclusive and np.isnan(nan.worst_violation)
+    assert nan.note == good.note
+
+
+def test_sampling_checkers_need_a_draw():
+    spec, oracle = oracle_instance(200, n=10)
+    for check in (lambda: check_minty(spec, oracle.u, samples=0),
+                  lambda: check_smallest_supersolution(spec, oracle.u, samples=0),
+                  lambda: check_truncation_identities(spec.op, samples=0)):
+        with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+            check()
 
 
 # --- KKT -------------------------------------------------------------------------
@@ -70,6 +113,7 @@ def test_lewy_stampacchia_trivial_zero_case():
     report = check_lewy_stampacchia(spec, np.zeros(8), tol=1e-12)
     assert report.passed
     assert report.worst_violation <= 0.0
+    assert report.worst_index_or_sample == 0  # every node ties at 0: the first
 
 
 def test_lewy_stampacchia_equality_for_constant_obstacle():
