@@ -179,22 +179,19 @@ def _write_json(record: dict, path: str | None, started: float):
             fh.write(text)
 
 
-def _solve_failure_fields(cfg: RunConfig, spec: ProblemSpec, exc: SolverError,
-                          solver_id: str | None = None) -> dict:
-    """Solution fields of a failed solve: its best Solution, else psi^+."""
-    best = getattr(exc, "best", None)
-    sol = best if isinstance(best, Solution) else make_solution(
-        spec, spec.default_start(), 0, solver_id or cfg.solver_method, False,
-        cfg.solver_params)
-    return _solution_fields(spec, sol, None)
-
-
-def _solver_failure(record: dict, exc: SolverError, path: str | None,
-                    started: float) -> int:
-    """Write the partial record, without reports, with its error field."""
+def _solver_failure(record: dict, exc: SolverError, cfg: RunConfig, spec: ProblemSpec,
+                    started: float, solver_id: str | None = None) -> int:
+    """Write the exit-3 record.  One without a solution gets the failed solve's
+    best Solution, else psi^+ as an unconverged solve of solver_id."""
+    if "u" not in record:
+        best = getattr(exc, "best", None)
+        sol = best if isinstance(best, Solution) else make_solution(
+            spec, spec.default_start(), 0, solver_id or cfg.solver_method, False,
+            cfg.solver_params)
+        record.update(_solution_fields(spec, sol, None))
     record.setdefault("reports", [])
     record["error"] = str(exc)
-    _write_json(record, path, started)
+    _write_json(record, cfg.output_json, started)
     print(f"solver failure: {exc}", file=sys.stderr)
     return 3
 
@@ -224,8 +221,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         sol, extras = run_single(spec, cfg.solver_method, cfg.solver_params,
                                  cfg.penalty_params)
     except SolverError as exc:
-        record.update(_solve_failure_fields(cfg, spec, exc))
-        return _solver_failure(record, exc, cfg.output_json, started)
+        return _solver_failure(record, exc, cfg, spec, started)
     record.update(_solution_fields(spec, sol, extras))
     record["reports"] = []
     _write_json(record, cfg.output_json, started)
@@ -281,8 +277,7 @@ def cmd_verify(cfg: RunConfig, inject_corruption: bool = False) -> int:
         sol, extras = run_single(spec, cfg.solver_method, cfg.solver_params,
                                  cfg.penalty_params)
     except SolverError as exc:
-        record.update(_solve_failure_fields(cfg, spec, exc))
-        return _solver_failure(record, exc, cfg.output_json, started)
+        return _solver_failure(record, exc, cfg, spec, started)
     u = sol.u.copy()
     if inject_corruption:
         u[spec.n // 2] = spec.psi[spec.n // 2] - 1.0
@@ -293,7 +288,7 @@ def cmd_verify(cfg: RunConfig, inject_corruption: bool = False) -> int:
         if spec.n <= 12:
             reports.append(_oracle_agreement_report(cfg, spec))
     except SolverError as exc:  # in a checker's or the oracle agreement's solves
-        return _solver_failure(record, exc, cfg.output_json, started)
+        return _solver_failure(record, exc, cfg, spec, started)
     record["reports"] = [r.as_dict() for r in reports]
     _write_json(record, cfg.output_json, started)
     print(f"{'check':<26}{'result':<8}{'worst_violation':<18}{'tol':<10}")
@@ -366,9 +361,7 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
         record["reports"] = []
         deviations = _oracle_deviations(spec, oracle, cfg.solver_params)
     except SolverError as exc:
-        if "u" not in record:  # the oracle itself failed
-            record.update(_solve_failure_fields(cfg, spec, exc, "oracle"))
-        return _solver_failure(record, exc, cfg.output_json, started)
+        return _solver_failure(record, exc, cfg, spec, started, "oracle")
     worst = max(deviations.values())
     record["oracle_deviations"] = deviations
     record["oracle_agree_tol"] = ORACLE_AGREE_TOL
@@ -443,8 +436,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg)
         return cmd_oracle_check(cfg)
     except (ConfigError, ValueError) as exc:
-        # ValueError here means the parsed config violates a constructor or
-        # solver precondition (bad custom values, oversized dense solve, ...)
+        # ValueError: a constructor or solver precondition (overflowing preset, n too large, ...)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,6 +22,7 @@ Forcing presets:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,9 +46,12 @@ def _parse_int(raw: str) -> int:
 
 def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_float_list(raw: str) -> tuple:
@@ -238,9 +242,11 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError(f"grid.n must be positive, got {n}")
     if not 0.0 < s < 1.0:
         raise ConfigError(f"operator.s must lie in (0, 1), got {s}")
-    samples = values["verify.samples"]
+    samples, verify_tol = values["verify.samples"], values["verify.tol"]
     if samples < 1:
         raise ConfigError(f"verify.samples must be at least 1, got {samples}")
+    if not verify_tol > 0:
+        raise ConfigError(f"verify.tol must be positive, got {verify_tol}")
 
     try:
         solver_params = SolverParams(
@@ -287,7 +293,7 @@ def parse_config_text(text: str) -> RunConfig:
         sweep_axis=sweep_axis,
         sweep_values=values["sweep.values"],
         verify_samples=samples,
-        verify_tol=values["verify.tol"],
+        verify_tol=verify_tol,
         output_json=values["output.json"],
         output_csv=values["output.csv"],
         seed=values["seed"],

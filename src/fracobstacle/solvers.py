@@ -68,7 +68,7 @@ class SolverError(RuntimeError):
 
 
 class IterationLimitError(SolverError):
-    """Solver hit its iteration budget; carries the best iterate found."""
+    """Solver hit its iteration budget; best is its best Solution (an array from solve_linear)."""
 
     def __init__(self, message: str, best):
         super().__init__(message)
@@ -417,8 +417,8 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
     it is solved matrix-free by Strang-preconditioned conjugate gradients,
     warm-started from the previous pass.  For M-matrices this terminates in
     finitely many passes (Hintermueller, Ito & Kunisch, 2002).
-    params.max_iter bounds the passes; running out, or revisiting an active
-    set, raises IterationLimitError with the iterate of least KKT violation.
+    Running out of passes (params.max_iter), a cycle or a failed free-block
+    solve raises IterationLimitError with the iterate of least KKT violation.
     """
     params = params or SolverParams()
     op, psi, f = spec.op, spec.psi, spec.f
@@ -438,7 +438,11 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
         start, u = u, psi.copy()
         if free.any():
             if n > DENSE_LIMIT:
-                u[free] = _free_block_pcg(op, free, psi, f, start)
+                try:
+                    u[free] = _free_block_pcg(op, free, psi, f, start)
+                except IterationLimitError as exc:
+                    raise _iteration_limit(spec, f"active set pass {it}: {exc}", best,
+                                           it - 1, "active_set", params) from None
             else:
                 rhs = f[free] - op.block(free, active) @ psi[active]
                 u[free] = spd_solve(op.block(free, free), rhs)
@@ -565,22 +569,19 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
             best_res, best_iterate, stall = res, u_eps.copy(), 0
         else:
             stall += 1
-            if stall > stall_window:
-                if halvings >= 4:
-                    raise IterationLimitError(
-                        f"penalty Picard stagnated at residual {best_res:.3e} "
-                        f"after {halvings} dampings",
-                        make_solution(spec, exact.u, it, "penalty", False, params))
+            if stall > stall_window and halvings < 4:
                 halvings += 1
                 d *= 0.5
                 u_eps = best_iterate.copy()
                 stall = 0
                 continue
-        if it >= penalty_params.max_outer:
+        if stall > stall_window or it >= penalty_params.max_outer:
+            message = (f"penalty Picard stagnated at residual {best_res:.3e} "
+                       f"after {halvings} dampings" if stall > stall_window else
+                       f"penalty Picard exceeded max_outer={penalty_params.max_outer} "
+                       f"(residual {res:.3e})")
             raise IterationLimitError(
-                f"penalty Picard exceeded max_outer={penalty_params.max_outer} "
-                f"(residual {res:.3e})",
-                make_solution(spec, exact.u, it, "penalty", False, params))
+                message, make_solution(spec, exact.u, it, "penalty", False, params))
         # u_eps <- (1 - d) u_eps + d A^{-1} rhs in place, the same operations
         w = solve_linear(op, rhs)
         w *= d

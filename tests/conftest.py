@@ -33,6 +33,23 @@ def random_instance(seed, n=None, s=None, a=0.0, b=1.0, psi_scale=1.0,
     return ProblemSpec(op=op, psi=psi, f=f)
 
 
+def manufactured_instance(n, s):
+    """An obstacle problem built from its solution: returns (spec, u*, S).
+
+    u* is smooth and vanishes at both ends, the contact set S is three runs
+    of nodes, and the multiplier lam > 0 lives on S.  With psi = u* on S,
+    psi < u* off S and f = A u* - lam, u* meets the KKT system exactly,
+    with strict complementarity, up to the rounding of f.
+    """
+    op = make_op(n=n, s=s)
+    x = op.grid.nodes()
+    u = 0.5 - 2.0 * (x - 0.5) ** 2 + 0.05 * np.sin(3.0 * np.pi * x)
+    contact = (np.cos(7.0 * np.pi * (x - 0.5)) > 0.2) & (np.abs(x - 0.5) < 0.4)
+    lam = np.where(contact, 1.0 + 0.5 * np.sin(11.0 * x), 0.0)
+    psi = np.where(contact, u, u - 0.01 * (1.0 + x))
+    return ProblemSpec(op=op, psi=psi, f=op.apply(u) - lam), u, contact
+
+
 def oracle_instance(seed, **kwargs):
     """Random instance plus its enumeration-oracle solution.
 

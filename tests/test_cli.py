@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -183,6 +184,18 @@ CONFIG_ERRORS = {
                                            "forcing.preset = custom\nforcing.values = "
                                            + ", ".join(["1"] * 8))
                        + _SWEEP.format("n", "8, 16"), "cannot use 'custom' presets"),
+    "infinite verify tol": (BASE_CONFIG + "\nverify.tol = inf\n",
+                            "key 'verify.tol': expected a finite number, got 'inf'"),
+    "nan verify tol": (BASE_CONFIG + "\nverify.tol = nan\n",
+                       "key 'verify.tol': expected a finite number, got 'nan'"),
+    "negative verify tol": (BASE_CONFIG + "\nverify.tol = -1\n",
+                            "verify.tol must be positive, got -1.0"),
+    "infinite solver tol": (BASE_CONFIG + "\nsolver.tol = inf\n",
+                            "key 'solver.tol': expected a finite number"),
+    "infinite active tol": (BASE_CONFIG + "\nsolver.active_tol = inf\n",
+                            "key 'solver.active_tol': expected a finite number"),
+    "infinite n value": (BASE_CONFIG + _SWEEP.format("n", "8, inf"),
+                         "key 'sweep.values': expected a finite number, got 'inf'"),
 }
 
 
@@ -457,6 +470,38 @@ def test_exit_3_penalty_picard_records_its_warm_start_on_the_real_problem(tmp_pa
     assert record["u"] == u.tolist()
     assert record["residual"] == (spec.op.apply(u) - spec.f).tolist()
     assert record["energy"] == spec.op.energy(u, spec.f)
+
+
+def test_exit_3_when_an_active_set_free_block_solve_fails(tmp_path, capsys, monkeypatch):
+    # Above DENSE_LIMIT the second pass's free-block solve runs out of its
+    # budget; the record holds pass 1's iterate as an unconverged active set.
+    text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 600").replace(
+        "forcing.preset = zero", "forcing.preset = constant\nforcing.c = -0.5")
+    run = parse_config_text(text)
+    spec = run.build_problem()
+    with pytest.raises(IterationLimitError, match="did not settle in 1 passes") as first:
+        solvers.solve_active_set(spec, dataclasses.replace(run.solver_params, max_iter=1))
+    real, calls = solvers._free_block_pcg, []
+
+    def second_call_fails(op, free, *rest):
+        calls.append(free)
+        if len(calls) == 2:
+            raise IterationLimitError("inner solve gave up", best=np.zeros(int(free.sum())))
+        return real(op, free, *rest)
+
+    monkeypatch.setattr(solvers, "_free_block_pcg", second_call_fails)
+    out = str(tmp_path / "out.json")
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out", out, "--solver", "activeset"]) == 3
+    assert "solver failure: active set pass 2: inner solve gave up" in capsys.readouterr().err
+    record = load_record(out)
+    u = first.value.best.u
+    assert record["solver_id"] == "active_set"
+    assert record["converged"] is False and record["iterations"] == 1
+    assert record["u"] == u.tolist()
+    assert record["residual"] == (spec.op.apply(u) - spec.f).tolist()
+    assert record["reports"] == []
+    assert record["error"].startswith("active set pass 2: inner solve gave up (violation ")
 
 
 def test_solve_active_set_above_dense_limit(tmp_path):

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracobstacle import Grid, assemble_operator, kernel_constant
+from fracobstacle import Grid, assemble_operator, kernel_constant, solve_linear
 from fracobstacle.operator import _FFT_MIN_N, lapack
 
 from conftest import make_op
@@ -197,6 +197,32 @@ def test_apply_consistent_with_quadrature_oracle_off_center():
         sup_errors.append(np.abs(op.apply(q) - exact)[inner].max())
     assert sup_errors[2] < sup_errors[1] < sup_errors[0]
     assert sup_errors[2] < 1e-3
+
+
+# Midpoint errors |w(0) - 1| of A w = K on (-1, 1) at n = 255, 1023, 4095.
+GETOOR_MIDPOINT_ERRORS = {
+    0.25: (1.6e-3, 4.0e-4, 1.0e-4),
+    0.5: (2.0e-3, 4.9e-4, 1.2e-4),
+    0.75: (3.4e-2, 1.7e-2, 8.6e-3),
+    0.9: (3.8e-1, 2.6e-1, 1.9e-1),
+}
+
+
+@pytest.mark.parametrize("s", GETOOR_MIDPOINT_ERRORS)
+def test_linear_solve_approaches_getoor_closed_form(s):
+    # Getoor (1961): (-Delta)^s (1 - x^2)_+^s = K on (-1, 1).  Every theorem
+    # check holds for any M-matrix, so only a continuum identity catches a
+    # wrong s, C(1,s) or exterior tail that keeps A an M-matrix.  The
+    # midpoint order in h is min(1, 2 - 2s), that of the dropped singular cell.
+    K = 2.0 ** (2 * s) * math.gamma(1 + s) * math.gamma(0.5 + s) / math.gamma(0.5)
+    errors = []
+    for n, expected in zip((255, 1023, 4095), GETOOR_MIDPOINT_ERRORS[s]):
+        op = make_op(n=n, s=s, a=-1.0, b=1.0)
+        assert op.grid.nodes()[n // 2] == 0.0
+        errors.append(abs(solve_linear(op, np.full(n, K))[n // 2] - 1.0))
+        assert expected / 2 <= errors[-1] <= 2 * expected
+    order = math.log(errors[1] / errors[2]) / math.log(4.0)
+    assert order == pytest.approx(min(1.0, 2.0 - 2.0 * s), abs=0.1)
 
 
 # --- bilinear form and energy ---------------------------------------------------

@@ -28,7 +28,8 @@ from fracobstacle import (
 
 from fracobstacle.operator import lapack, spd_solve
 
-from conftest import count_psor_calls, make_op, oracle_instance, random_instance
+from conftest import (count_psor_calls, make_op, manufactured_instance, oracle_instance,
+                      random_instance)
 
 PARAMS = SolverParams(tol=1e-10)
 
@@ -404,6 +405,16 @@ def test_active_set_matrix_free_agrees_with_psor(s):
     assert sol.solver_id == "active_set" and sol.converged
     assert np.abs(sol.u - solve_psor(spec, PARAMS).u).max() <= 1e-8
     assert kkt_violation(spec, sol.u)[0] <= PARAMS.tol
+
+
+@pytest.mark.parametrize("s", [0.5, 0.9])
+@pytest.mark.parametrize("n", [511, 4095])  # dense and matrix-free free blocks
+def test_active_set_recovers_manufactured_solution(n, s):
+    spec, u_star, contact = manufactured_instance(n, s)
+    sol = solve_active_set(spec)
+    assert sol.converged
+    np.testing.assert_array_equal(sol.active_set, np.flatnonzero(contact))
+    assert np.abs(sol.u - u_star).max() <= 1e-12
 
 
 def test_active_set_iteration_limit_carries_best_iterate():
