@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract:
     0  success (all requested checks passed)
-    2  configuration or usage error
+    2  configuration or usage error (also an output path that cannot be written)
     3  solver failure (iteration limit; a partial record is still written)
     4  verification failure (some check failed or solvers disagree)
 
@@ -213,15 +213,9 @@ def _write_solution_csv(path: str, spec: ProblemSpec, sol: Solution):
 
 # --- subcommands -----------------------------------------------------------
 
-def cmd_solve(cfg: RunConfig) -> int:
-    started = time.perf_counter()
-    spec = cfg.build_problem()
-    record = _base_record("solve", cfg)
-    try:
-        sol, extras = run_single(spec, cfg.solver_method, cfg.solver_params,
-                                 cfg.penalty_params)
-    except SolverError as exc:
-        return _solver_failure(record, exc, cfg, spec, started)
+def cmd_solve(cfg: RunConfig, spec: ProblemSpec, record: dict, started: float) -> int:
+    sol, extras = run_single(spec, cfg.solver_method, cfg.solver_params,
+                             cfg.penalty_params)
     record.update(_solution_fields(spec, sol, extras))
     record["reports"] = []
     _write_json(record, cfg.output_json, started)
@@ -269,26 +263,18 @@ def _oracle_agreement_report(cfg: RunConfig, spec: ProblemSpec) -> Report:
     return _worst("oracle_agreement", list(deviations.values()), ORACLE_AGREE_TOL, cfg.seed)
 
 
-def cmd_verify(cfg: RunConfig, inject_corruption: bool = False) -> int:
-    started = time.perf_counter()
-    spec = cfg.build_problem()
-    record = _base_record("verify", cfg)
-    try:
-        sol, extras = run_single(spec, cfg.solver_method, cfg.solver_params,
-                                 cfg.penalty_params)
-    except SolverError as exc:
-        return _solver_failure(record, exc, cfg, spec, started)
+def cmd_verify(cfg: RunConfig, spec: ProblemSpec, record: dict, started: float,
+               inject_corruption: bool) -> int:
+    sol, extras = run_single(spec, cfg.solver_method, cfg.solver_params,
+                             cfg.penalty_params)
     u = sol.u.copy()
     if inject_corruption:
         u[spec.n // 2] = spec.psi[spec.n // 2] - 1.0
     record.update(_solution_fields(spec, sol, extras))
     record["corrupted"] = inject_corruption
-    try:
-        reports = _verify_reports(cfg, spec, sol, u)
-        if spec.n <= 12:
-            reports.append(_oracle_agreement_report(cfg, spec))
-    except SolverError as exc:  # in a checker's or the oracle agreement's solves
-        return _solver_failure(record, exc, cfg, spec, started)
+    reports = _verify_reports(cfg, spec, sol, u)
+    if spec.n <= 12:
+        reports.append(_oracle_agreement_report(cfg, spec))
     record["reports"] = [r.as_dict() for r in reports]
     _write_json(record, cfg.output_json, started)
     print(f"{'check':<26}{'result':<8}{'worst_violation':<18}{'tol':<10}")
@@ -338,7 +324,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             if extras is not None:
                 row["max_penalty_gap"] = _fmt_float(extras["max_gap"])
             row["status"] = "ok"
-        except (SolverError, RuntimeError, ValueError, ConfigError) as exc:
+        except (RuntimeError, ValueError, ConfigError) as exc:
             row["status"] = f"error: {exc}"
         rows.append(row)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -351,17 +337,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0 if bad == 0 else 3
 
 
-def cmd_oracle_check(cfg: RunConfig) -> int:
-    started = time.perf_counter()
-    spec = cfg.build_problem()
-    record = _base_record("oracle-check", cfg)
-    try:
-        oracle = brute_force_oracle(spec, cfg.solver_params)
-        record.update(_solution_fields(spec, oracle, None))
-        record["reports"] = []
-        deviations = _oracle_deviations(spec, oracle, cfg.solver_params)
-    except SolverError as exc:
-        return _solver_failure(record, exc, cfg, spec, started, "oracle")
+def cmd_oracle_check(cfg: RunConfig, spec: ProblemSpec, record: dict, started: float) -> int:
+    oracle = brute_force_oracle(spec, cfg.solver_params)
+    record.update(_solution_fields(spec, oracle, None))
+    record["reports"] = []
+    deviations = _oracle_deviations(spec, oracle, cfg.solver_params)
     worst = max(deviations.values())
     record["oracle_deviations"] = deviations
     record["oracle_agree_tol"] = ORACLE_AGREE_TOL
@@ -428,15 +408,23 @@ def main(argv=None) -> int:
         if getattr(args, "csv", None) is not None:
             cfg.output_csv = args.csv
 
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, inject_corruption=args.inject_corruption)
         if args.command == "sweep":
             return cmd_sweep(cfg)
-        return cmd_oracle_check(cfg)
-    except (ConfigError, ValueError) as exc:
-        # ValueError: a constructor or solver precondition (overflowing preset, n too large, ...)
+        started = time.perf_counter()
+        spec = cfg.build_problem()
+        record = _base_record(args.command, cfg)
+        try:
+            if args.command == "solve":
+                return cmd_solve(cfg, spec, record, started)
+            if args.command == "verify":
+                return cmd_verify(cfg, spec, record, started, args.inject_corruption)
+            return cmd_oracle_check(cfg, spec, record, started)
+        except SolverError as exc:  # in the main solve, a checker's or the oracle's
+            return _solver_failure(record, exc, cfg, spec, started,
+                                   "oracle" if args.command == "oracle-check" else None)
+    except (ConfigError, ValueError, OSError) as exc:
+        # ValueError: a constructor or solver precondition (overflowing preset or
+        # operator, n too large, ...); OSError: an output path that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

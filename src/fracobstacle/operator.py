@@ -32,7 +32,7 @@ import importlib.util
 import os
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from math import gamma, pi, sqrt
+from math import gamma, inf, pi, sqrt
 
 import numpy as np
 
@@ -145,6 +145,15 @@ class Grid:
             raise ValueError(f"grid vector must have shape ({self.n},), got {v.shape}")
         return v
 
+    def check_vectors(self, v) -> np.ndarray:
+        """check_vector, or for a 2-D v a (k, n) stack of grid vectors."""
+        if np.ndim(v) != 2:
+            return self.check_vector(v)
+        v = np.ascontiguousarray(v, dtype=float)
+        if v.shape[1] != self.n:
+            raise ValueError(f"stack of grid vectors must have shape (k, {self.n}), got {v.shape}")
+        return v
+
 
 def kernel_constant(s: float) -> float:
     """Normalization constant C(1,s) of the 1-D singular-integral kernel.
@@ -234,8 +243,8 @@ class FracLapOperator:
         that the preconditioned conjugate gradients of solve_linear take
         6-13 iterations on A w = 1 for n up to 16384 and s in [0.05, 0.95].
         """
-        n = self.grid.n
-        return np.fft.irfft(np.fft.rfft(v) / self.strang_symbol, n)
+        v = self.grid.check_vectors(v)
+        return np.fft.irfft(np.fft.rfft(v) / self.strang_symbol, self.grid.n)
 
     @cached_property
     def cholesky(self) -> np.ndarray:
@@ -270,15 +279,11 @@ class FracLapOperator:
         FFT along its last axis (the direct sum loops over its rows), and
         each row gets the bits of its own call.
         """
-        n = self.grid.n
-        if np.ndim(v) != 2:
-            v = self.grid.check_vector(v)
-            return self._apply_fft(v) if n >= _FFT_MIN_N else self._apply_direct(v)
-        v = np.ascontiguousarray(v, dtype=float)
-        if v.shape[1] != n:
-            raise ValueError(f"stack of grid vectors must have shape (k, {n}), got {v.shape}")
-        if n >= _FFT_MIN_N:
+        v = self.grid.check_vectors(v)
+        if self.grid.n >= _FFT_MIN_N:
             return self._apply_fft(v)
+        if v.ndim == 1:
+            return self._apply_direct(v)
         return np.array([self._apply_direct(x) for x in v]).reshape(v.shape)
 
     def _apply_direct(self, v: np.ndarray) -> np.ndarray:
@@ -328,7 +333,13 @@ def assemble_operator(grid: Grid, s: float) -> FracLapOperator:
     """
     c = kernel_constant(s)
     h = grid.h
+    try:
+        diag = (c / s) * (h / 2.0) ** (-2.0 * s)
+    except OverflowError:
+        diag = inf
+    if not 0.0 < diag < inf:  # then every W_k <= D/2 is finite too
+        raise ValueError(f"operator diagonal D = {diag!r} is not a positive finite "
+                         f"number at h = {h!r}, s = {s!r}")
     k = np.arange(1, grid.n, dtype=float)
     weights = (c / (2.0 * s)) * (((k - 0.5) * h) ** (-2.0 * s) - ((k + 0.5) * h) ** (-2.0 * s))
-    diag = (c / s) * (h / 2.0) ** (-2.0 * s)
     return FracLapOperator(grid=grid, s=s, c_ker=c, diag=diag, weights=weights)

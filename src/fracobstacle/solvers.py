@@ -302,16 +302,10 @@ def solve_linear(op: FracLapOperator, f) -> np.ndarray:
     Since A^{-1} is entrywise positive, f >= 0 implies w >= 0 (discrete
     weak maximum principle).
     """
-    n = op.grid.n
-    if np.ndim(f) != 2:
-        f = op.grid.check_vector(f)
-    else:
-        f = np.ascontiguousarray(f, dtype=float)
-        if f.shape[1] != n:
-            raise ValueError(f"stack of grid vectors must have shape (k, {n}), got {f.shape}")
+    f = op.grid.check_vectors(f)
     if not np.isfinite(f).all():
         raise ValueError("right-hand side must be finite")
-    if n <= DENSE_LIMIT:
+    if op.grid.n <= DENSE_LIMIT:
         return cho_solve(op.cholesky, f.T).T  # columns are right-hand sides
     return _pcg(op.apply, op.strang_solve, f, None, _LINEAR_TOL, PCG_MAX_ITER)
 

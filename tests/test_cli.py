@@ -196,6 +196,14 @@ CONFIG_ERRORS = {
                             "key 'solver.active_tol': expected a finite number"),
     "infinite n value": (BASE_CONFIG + _SWEEP.format("n", "8, inf"),
                          "key 'sweep.values': expected a finite number, got 'inf'"),
+    "overflowing operator": (BASE_CONFIG.replace("domain.b = 1.0", "domain.b = 1e-300")
+                             .replace("operator.s = 0.5", "operator.s = 0.9"),
+                             "operator diagonal D = inf is not a positive finite number"),
+    "underflowing operator": (BASE_CONFIG.replace("domain.b = 1.0", "domain.b = 1e300")
+                              .replace("operator.s = 0.5", "operator.s = 0.9")
+                              .replace("obstacle.preset = bump", "obstacle.preset = negative")
+                              .replace("obstacle.d = 4.0\nobstacle.m = 0.5\n", ""),
+                              "operator diagonal D = 0.0 is not a positive finite number"),
 }
 
 
@@ -205,6 +213,26 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
     assert main(["solve", "--config", write_config(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("command, flag", [("solve", "--out"), ("solve", "--csv"),
+                                           ("sweep", "--csv")])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command, flag):
+    text = BASE_CONFIG + (_SWEEP.format("s", "0.3, 0.5") if command == "sweep" else "")
+    path = str(tmp_path / "missing" / "out")
+    assert main([command, "--config", write_config(tmp_path, text), flag, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(path) in err
+
+
+def test_sweep_row_whose_operator_overflows_records_its_error(tmp_path):
+    text = BASE_CONFIG.replace("domain.b = 1.0", "domain.b = 1e-300")
+    text += _SWEEP.format("s", "0.5, 0.9")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--csv", str(out)]) == 3
+    first, second = sweep_rows(out)
+    assert first["status"] == "ok"
+    assert second["status"].startswith("error: operator diagonal D = inf")
 
 
 @pytest.mark.parametrize("samples", [0, -3])

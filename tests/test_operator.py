@@ -145,6 +145,22 @@ def test_apply_rejects_wrong_length():
         op.apply(np.zeros(5))
 
 
+@pytest.mark.parametrize("bad", [np.zeros((2, 601)), np.zeros(601)])
+def test_strang_solve_checks_its_input_as_apply_does(bad):
+    op = make_op(n=600)
+    with pytest.raises(ValueError) as want:
+        op.apply(bad)
+    with pytest.raises(ValueError) as got:
+        op.strang_solve(bad)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("b, diag", [(1e-300, "inf"), (1e300, "0.0")])
+def test_assembly_rejects_operator_that_over_or_underflows(b, diag):
+    with pytest.raises(ValueError, match=f"operator diagonal D = {diag} .* s = 0.9"):
+        make_op(n=8, s=0.9, b=b)
+
+
 def test_fft_path_agrees_with_direct_sum():
     rng = np.random.default_rng(1)
     for n in (64, _FFT_MIN_N, 400):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from fracobstacle import (
     ConvergenceReport,
     ProblemSpec,
     SolverParams,
+    assemble_operator,
     check_bounds_cinfty,
     check_comparison_in_f,
     check_kkt,
@@ -17,12 +20,13 @@ from fracobstacle import (
     check_minty,
     check_smallest_supersolution,
     check_truncation_identities,
+    make_solution,
     run_obstacle_convergence,
     solve_active_set,
     solve_linear,
     solve_psor,
 )
-
+from fracobstacle import cli
 from fracobstacle.config import parse_config_text
 from fracobstacle.verify import _worst
 
@@ -426,33 +430,90 @@ KILLS = {"kkt": True, "lewy_stampacchia": True, "minty": False,
          "smallest_supersolution": False, "bounds_cinfty": False}
 
 
-@pytest.mark.parametrize("n", [12, 300])
-def test_single_solution_checkers_kill_table(n):
-    cfg = parse_config_text(GOLDEN_PG)
-    spec = cfg.build_problem(n=n)
-    u, psi = solve_active_set(spec, cfg.solver_params).u, spec.psi
-    free = u - psi > cfg.solver_params.active_tol
-    candidates = {
+def solution_mutants(spec, u, active_tol):
+    """The exact u and four wrong candidates, each more than 1e-3 away."""
+    psi = spec.psi
+    free = u - psi > active_tol
+    return {
         "exact": u,
         "u+1e-2": np.maximum(psi, np.where(free, u + 1e-2, u)),
         "u-1e-2": np.maximum(psi, np.where(free, u - 1e-2, u)),
         "1.1u": np.where(free, 1.1 * u, u),
         "psi+": spec.default_start(),
     }
+
+
+def single_solution_reports(cfg, spec, v):
     tol, samples, seed = cfg.verify_tol, cfg.verify_samples, cfg.seed
-    for name, v in candidates.items():
+    return [
+        check_kkt(spec, v, tol=tol),
+        check_lewy_stampacchia(spec, v, tol=tol),
+        check_minty(spec, v, samples=samples, tol=tol, seed=seed + 1),
+        check_smallest_supersolution(spec, v, samples=samples, seed=seed + 2, tol=tol),
+        check_bounds_cinfty(spec, v, tol=tol),
+    ]
+
+
+@pytest.mark.parametrize("n", [12, 300])
+def test_single_solution_checkers_kill_table(n):
+    cfg = parse_config_text(GOLDEN_PG)
+    spec = cfg.build_problem(n=n)
+    u = solve_active_set(spec, cfg.solver_params).u
+    for name, v in solution_mutants(spec, u, cfg.solver_params.active_tol).items():
         assert name == "exact" or np.abs(v - u).max() > 1e-3
-        reports = [
-            check_kkt(spec, v, tol=tol),
-            check_lewy_stampacchia(spec, v, tol=tol),
-            check_minty(spec, v, samples=samples, tol=tol, seed=seed + 1),
-            check_smallest_supersolution(spec, v, samples=samples, seed=seed + 2, tol=tol),
-            check_bounds_cinfty(spec, v, tol=tol),
-        ]
+        reports = single_solution_reports(cfg, spec, v)
         killed = {r.check_id: not r.passed for r in reports}
         expected = {c: name != "exact" and kills for c, kills in KILLS.items()}
         assert killed == expected, name
         assert not any(r.inconclusive for r in reports)
+
+
+@pytest.mark.parametrize("n", [12, 300])
+def test_verify_exits_4_on_every_solution_mutant(tmp_path, monkeypatch, n):
+    """The whole verify run, handed each candidate as its main solve."""
+    text = GOLDEN_PG.replace("grid.n = 300", f"grid.n = {n}")
+    cfg = parse_config_text(text)
+    spec = cfg.build_problem()
+    u = solve_active_set(spec, cfg.solver_params).u
+    path, out = tmp_path / "run.cfg", tmp_path / "out.json"
+    path.write_text(text)
+    for name, v in solution_mutants(spec, u, cfg.solver_params.active_tol).items():
+        monkeypatch.setattr(cli, "run_single", lambda spec, method, params, pparams: (
+            make_solution(spec, v, 1, "pg", True, params), None))
+        code = cli.main(["verify", "--config", str(path), "--out", str(out)])
+        failed = {r["check_id"] for r in json.loads(out.read_text())["reports"]
+                  if not r["passed"]}
+        if name == "exact":
+            assert (code, failed) == (0, set())
+        else:
+            assert code == 4 and {"kkt", "lewy_stampacchia"} <= failed, name
+
+
+# Which checkers fail when they are handed a wrong operator together with
+# the solution of the true one.  Every theorem holds for any M-matrix, so
+# only the residual checks see the wrong operator.
+OPERATOR_KILLS = {"kkt": True, "lewy_stampacchia": True, "minty": False,
+                  "smallest_supersolution": False, "bounds_cinfty": False,
+                  "truncation_identities": False}
+
+
+@pytest.mark.parametrize("n", [12, 300])
+def test_operator_mutant_kill_table(n):
+    cfg = parse_config_text(GOLDEN_PG)
+    spec = cfg.build_problem(n=n)
+    op = spec.op
+    u = solve_active_set(spec, cfg.solver_params).u
+    mutants = {
+        "s+0.05": assemble_operator(op.grid, op.s + 0.05),
+        "D-2tail(n)": dataclasses.replace(op, diag=op.diag - 2.0 * op.tail(n)),
+        "1.01A": dataclasses.replace(op, diag=1.01 * op.diag, weights=1.01 * op.weights),
+    }
+    for name, mutant in mutants.items():
+        reports = single_solution_reports(cfg, ProblemSpec(mutant, spec.psi, spec.f), u)
+        reports.append(check_truncation_identities(mutant, samples=cfg.verify_samples,
+                                                   seed=cfg.seed + 3))
+        killed = {r.check_id: not r.passed for r in reports}
+        assert killed == OPERATOR_KILLS, name
 
 
 # --- large n: the matrix-free active set -----------------------------------------------
