@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 
@@ -179,6 +180,18 @@ def _write_json(record: dict, path: str | None, started: float):
             fh.write(text)
 
 
+def _check_output_path(path: str | None):
+    """Refuse, before any work, a path whose directory is missing or that is a
+    directory; opening it late would fail after the solve.  Creates no file,
+    so a failed serialization still leaves none."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"output path {path!r}: its directory does not exist")
+
+
 def _solver_failure(record: dict, exc: SolverError, cfg: RunConfig, spec: ProblemSpec,
                     started: float, solver_id: str | None = None) -> int:
     """Write the exit-3 record.  One without a solution gets the failed solve's
@@ -250,17 +263,14 @@ def _verify_reports(cfg: RunConfig, spec: ProblemSpec, sol: Solution,
     return reports
 
 
-def _oracle_deviations(spec: ProblemSpec, oracle: Solution,
-                       params: SolverParams) -> dict[str, float]:
-    """Max-norm distance of each solver's solution from the oracle's."""
-    return {name: float(np.abs(solver(spec, params).u - oracle.u).max())
-            for name, solver in SOLVERS.items()}
-
-
-def _oracle_agreement_report(cfg: RunConfig, spec: ProblemSpec) -> Report:
-    oracle = brute_force_oracle(spec, cfg.solver_params)
-    deviations = _oracle_deviations(spec, oracle, cfg.solver_params)
-    return _worst("oracle_agreement", list(deviations.values()), ORACLE_AGREE_TOL, cfg.seed)
+def _oracle_agreement(cfg: RunConfig, spec: ProblemSpec,
+                      oracle: Solution) -> tuple[dict[str, float], Report]:
+    """Max-norm distance of each solver's solution from the oracle's, and the
+    oracle_agreement Report that decides them (a NaN distance fails it)."""
+    deviations = {name: float(np.abs(solver(spec, cfg.solver_params).u - oracle.u).max())
+                  for name, solver in SOLVERS.items()}
+    report = _worst("oracle_agreement", list(deviations.values()), ORACLE_AGREE_TOL, cfg.seed)
+    return deviations, report
 
 
 def cmd_verify(cfg: RunConfig, spec: ProblemSpec, record: dict, started: float,
@@ -274,7 +284,8 @@ def cmd_verify(cfg: RunConfig, spec: ProblemSpec, record: dict, started: float,
     record["corrupted"] = inject_corruption
     reports = _verify_reports(cfg, spec, sol, u)
     if spec.n <= 12:
-        reports.append(_oracle_agreement_report(cfg, spec))
+        reports.append(_oracle_agreement(
+            cfg, spec, brute_force_oracle(spec, cfg.solver_params))[1])
     record["reports"] = [r.as_dict() for r in reports]
     _write_json(record, cfg.output_json, started)
     print(f"{'check':<26}{'result':<8}{'worst_violation':<18}{'tol':<10}")
@@ -341,14 +352,13 @@ def cmd_oracle_check(cfg: RunConfig, spec: ProblemSpec, record: dict, started: f
     oracle = brute_force_oracle(spec, cfg.solver_params)
     record.update(_solution_fields(spec, oracle, None))
     record["reports"] = []
-    deviations = _oracle_deviations(spec, oracle, cfg.solver_params)
-    worst = max(deviations.values())
+    deviations, report = _oracle_agreement(cfg, spec, oracle)
     record["oracle_deviations"] = deviations
     record["oracle_agree_tol"] = ORACLE_AGREE_TOL
     _write_json(record, cfg.output_json, started)
     for name, dev in deviations.items():
         print(f"{name:<12} max deviation from oracle: {dev:.3e}")
-    if worst > ORACLE_AGREE_TOL:
+    if not report.passed:
         print(f"disagreement beyond {ORACLE_AGREE_TOL:g}", file=sys.stderr)
         return 4
     print("all solvers agree with the enumeration oracle")
@@ -407,6 +417,10 @@ def main(argv=None) -> int:
             cfg.output_json = args.out
         if getattr(args, "csv", None) is not None:
             cfg.output_csv = args.csv
+        if args.command != "sweep":
+            _check_output_path(cfg.output_json)
+        if args.command in ("solve", "sweep"):
+            _check_output_path(cfg.output_csv)
 
         if args.command == "sweep":
             return cmd_sweep(cfg)
@@ -424,7 +438,8 @@ def main(argv=None) -> int:
                                    "oracle" if args.command == "oracle-check" else None)
     except (ConfigError, ValueError, OSError) as exc:
         # ValueError: a constructor or solver precondition (overflowing preset or
-        # operator, n too large, ...); OSError: an output path that cannot be written
+        # operator, n too large, ...); OSError: a write that fails after the checks
+        # of _check_output_path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

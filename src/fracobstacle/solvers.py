@@ -18,7 +18,6 @@ operators may run concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -188,21 +187,19 @@ def kkt_violation(spec: ProblemSpec, u: np.ndarray, residual: np.ndarray | None 
 
     The three parts are primal feasibility psi - u, dual feasibility -r,
     and relative complementarity r (u - psi) / (1 + |r|); the returned value
-    is their overall max (negative values mean margin).  Ties go to the first
-    part, then the first node, and a NaN wins, as np.argmax over the three
-    parts stacked in that order.
+    is their overall max (negative values mean margin).  It is the first
+    maximum of the three parts stacked in that order, as verify._worst
+    decides: ties go to the first part, then the first node, and a NaN wins.
     """
     if residual is None:
         residual = spec.op.apply(u) - spec.f
     gap = u - spec.psi
-    value, index = -math.inf, 0
-    for part in (-gap, -residual, residual * gap / (1.0 + np.abs(residual))):
-        i = int(part.argmax())
-        if part[i] > value or math.isnan(part[i]):
-            value, index = float(part[i]), i
-            if math.isnan(value):
-                break
-    return value, index
+    parts = np.empty((3, spec.n))  # filled in place: cheaper than np.stack's copy
+    np.negative(gap, out=parts[0])
+    np.negative(residual, out=parts[1])
+    np.divide(residual * gap, 1.0 + np.abs(residual), out=parts[2])
+    k = int(np.argmax(parts))
+    return float(parts.flat[k]), k % spec.n
 
 
 def _kkt_met(spec: ProblemSpec, u: np.ndarray, residual: np.ndarray, tol: float) -> bool:

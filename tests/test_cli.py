@@ -20,7 +20,7 @@ from fracobstacle import (
     solvers,
 )
 from fracobstacle.cli import _fmt_float, _write_json, dumps, main
-from fracobstacle.config import ConfigError, parse_config_text
+from fracobstacle.config import ConfigError, RunConfig, parse_config_text
 
 from conftest import count_active_set_calls, count_psor_calls
 
@@ -215,14 +215,27 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
     assert err.startswith("config error: ") and message in err
 
 
+def _no_build(self, **_):
+    pytest.fail("a problem was built before the output path was checked")
+
+
 @pytest.mark.parametrize("command, flag", [("solve", "--out"), ("solve", "--csv"),
-                                           ("sweep", "--csv")])
-def test_unwritable_output_path_exits_2(tmp_path, capsys, command, flag):
+                                           ("sweep", "--csv"), ("verify", "--out"),
+                                           ("oracle-check", "--out")])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, command, flag):
+    monkeypatch.setattr(RunConfig, "build_problem", _no_build)
     text = BASE_CONFIG + (_SWEEP.format("s", "0.3, 0.5") if command == "sweep" else "")
     path = str(tmp_path / "missing" / "out")
     assert main([command, "--config", write_config(tmp_path, text), flag, path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and repr(path) in err
+
+
+def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(RunConfig, "build_problem", _no_build)
+    path = str(tmp_path)
+    assert main(["solve", "--config", write_config(tmp_path, BASE_CONFIG), "--out", path]) == 2
+    assert f"output path {path!r} is a directory" in capsys.readouterr().err
 
 
 def test_sweep_row_whose_operator_overflows_records_its_error(tmp_path):
@@ -758,6 +771,17 @@ def test_oracle_check_agreement(tmp_path, capsys):
 def test_oracle_check_rejects_large_n(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG.replace("grid.n = 8", "grid.n = 20"))
     assert main(["oracle-check", "--config", cfg]) == 2
+
+
+def test_oracle_check_fails_a_nan_deviation(tmp_path, monkeypatch, capsys):
+    # as verify's oracle_agreement does: a NaN counts as the worst deviation
+    real = solvers.solve_psor
+    monkeypatch.setattr(solvers, "solve_psor", lambda spec, params=None: dataclasses.replace(
+        real(spec, params), u=np.full(spec.n, math.nan)))
+    assert main(["oracle-check", "--config", write_config(tmp_path, BASE_CONFIG)]) == 4
+    captured = capsys.readouterr()
+    assert "psor         max deviation from oracle: nan" in captured.out
+    assert "disagreement beyond 1e-07" in captured.err
 
 
 def test_oracle_check_record_carries_deviations(tmp_path):

@@ -48,12 +48,18 @@ def assert_solution_invariants(spec, sol, tol):
     assert np.all(sol.residual * gap <= tol * (1.0 + np.abs(sol.residual)))
 
 
-def stacked_kkt_violation(spec, u, residual):
-    """The stacked formula kkt_violation replaced: argmax over a 3 x n array."""
+def looped_kkt_violation(spec, u, residual):
+    """Reference for kkt_violation: each part's own argmax, kept when it beats
+    the earlier parts' maximum, and a NaN ends the search."""
     gap = u - spec.psi
-    parts = np.stack([-gap, -residual, residual * gap / (1.0 + np.abs(residual))])
-    flat = int(np.argmax(parts))
-    return float(parts.flat[flat]), flat % spec.n
+    value, index = -math.inf, 0
+    for part in (-gap, -residual, residual * gap / (1.0 + np.abs(residual))):
+        i = int(part.argmax())
+        if part[i] > value or math.isnan(part[i]):
+            value, index = float(part[i]), i
+            if math.isnan(value):
+                break
+    return value, index
 
 
 # Few distinct values, so that ties within and across the parts are common.
@@ -73,11 +79,11 @@ def draw_kkt_instance(data, n):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=1, max_value=12))
-def test_kkt_violation_matches_stacked_formula(data, n):
+def test_kkt_violation_matches_looped_reference(data, n):
     spec, u, r = draw_kkt_instance(data, n)
     with np.errstate(invalid="ignore"):
         got = kkt_violation(spec, u, residual=r)
-        want = stacked_kkt_violation(spec, u, r)
+        want = looped_kkt_violation(spec, u, r)
     assert got[1] == want[1]
     assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()  # -0.0, NaN too
 
