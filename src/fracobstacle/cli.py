@@ -6,9 +6,9 @@ Exit codes are a stable contract:
     3  solver failure (iteration limit; a partial record is still written)
     4  verification failure (some check failed or solvers disagree)
 
-Result documents are JSON with floats serialized to 17 significant digits;
-identical config and seed produce byte-identical output except for the
-timing_seconds field.
+Result documents are JSON with floats serialized to 17 significant digits
+(null when not finite); identical config and seed produce byte-identical
+output except for the timing_seconds field.
 """
 
 from __future__ import annotations
@@ -61,17 +61,26 @@ SWEEP_COLUMNS = ("axis", "value", "solver", "converged", "iterations",
 
 # --- deterministic JSON ----------------------------------------------------
 
-def _fmt_float(x: float) -> str:
+def _json_float(x: float) -> str:
+    """17 significant digits; JSON null for a non-finite value."""
     if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
+        return "null"
     s = format(x, ".17g")
     if "." not in s and "e" not in s and "E" not in s:
         s += ".0"
     return s
 
 
+def _fmt_float(x: float) -> str:
+    """_json_float for the CSV writers, which refuse a non-finite value."""
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    return _json_float(x)
+
+
 def dumps(obj) -> str:
-    """Deterministic JSON: insertion-ordered keys, 17-significant-digit floats."""
+    """Deterministic JSON: insertion-ordered keys, 17-significant-digit floats,
+    null for a NaN or an infinity."""
     out = []
     _emit(obj, out)
     return "".join(out)
@@ -85,7 +94,7 @@ def _emit(obj, out: list):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
+        out.append(_json_float(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -100,7 +109,7 @@ def _emit(obj, out: list):
             _emit(v, out)
         out.append("}")
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
-        out.append("[" + ", ".join(map(_fmt_float, obj.tolist())) + "]")
+        out.append("[" + ", ".join(map(_json_float, obj.tolist())) + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, v in enumerate(list(obj)):
@@ -145,13 +154,13 @@ def run_single(spec: ProblemSpec, method: str, params: SolverParams,
     return sol, extras
 
 
-def _base_record(command: str, cfg: RunConfig) -> dict:
-    grid = cfg.grid()
+def _base_record(command: str, cfg: RunConfig, spec: ProblemSpec) -> dict:
+    grid = spec.op.grid
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": dict(cfg.echo),
-        "grid": {"a": cfg.a, "b": cfg.b, "n": cfg.n, "h": grid.h},
+        "grid": {"a": grid.a, "b": grid.b, "n": grid.n, "h": grid.h},
         "s": cfg.s,
     }
 
@@ -335,7 +344,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             if extras is not None:
                 row["max_penalty_gap"] = _fmt_float(extras["max_gap"])
             row["status"] = "ok"
-        except (RuntimeError, ValueError, ConfigError) as exc:
+        except (RuntimeError, ValueError) as exc:
             row["status"] = f"error: {exc}"
         rows.append(row)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -426,7 +435,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg)
         started = time.perf_counter()
         spec = cfg.build_problem()
-        record = _base_record(args.command, cfg)
+        record = _base_record(args.command, cfg, spec)
         try:
             if args.command == "solve":
                 return cmd_solve(cfg, spec, record, started)

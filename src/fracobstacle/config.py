@@ -61,10 +61,6 @@ def _parse_float_list(raw: str) -> tuple:
     return tuple(_parse_float(p) for p in items)
 
 
-def _parse_str(raw: str) -> str:
-    return raw
-
-
 # key -> (parser, default); _REQUIRED means the key must be present
 # (possibly only when its preset or solver selects it).
 _REQUIRED = object()
@@ -74,30 +70,30 @@ _BASE_SCHEMA = {
     "domain.b": (_parse_float, 1.0),
     "grid.n": (_parse_int, _REQUIRED),
     "operator.s": (_parse_float, _REQUIRED),
-    "obstacle.preset": (_parse_str, _REQUIRED),
-    "forcing.preset": (_parse_str, "zero"),
-    "solver.method": (_parse_str, "psor"),
+    "obstacle.preset": (str, _REQUIRED),
+    "forcing.preset": (str, "zero"),
+    "solver.method": (str, "psor"),
     "solver.tol": (_parse_float, 1e-10),
     "solver.max_iter": (_parse_int, 200_000),
     "solver.relaxation": (_parse_float, 1.5),
     "solver.active_tol": (_parse_float, 1e-8),
-    "sweep.axis": (_parse_str, None),
+    "sweep.axis": (str, None),
     "sweep.values": (_parse_float_list, None),
     "verify.samples": (_parse_int, 200),
     "verify.tol": (_parse_float, 1e-8),
-    "output.json": (_parse_str, None),
-    "output.csv": (_parse_str, None),
+    "output.json": (str, None),
+    "output.csv": (str, None),
     "seed": (_parse_int, 0),
 }
 
 # preset -> (its required parameters, its values at the nodes x of grid g
-# from the parameters p); None marks "custom", whose values come verbatim.
+# from the parameters p).
 _OBSTACLES = {
     "bump": (("c", "d", "m"), lambda x, g, p: p["c"] - p["d"] * (x - p["m"]) ** 2),
     "plateau": (("c", "l", "r"),
                 lambda x, g, p: np.where((x >= p["l"]) & (x <= p["r"]), p["c"], -p["c"])),
     "negative": (("c",), lambda x, g, p: np.full(g.n, -p["c"])),
-    "custom": (("values",), None),
+    "custom": (("values",), lambda x, g, p: np.asarray(p["values"], dtype=float)),
 }
 
 _FORCINGS = {
@@ -105,7 +101,7 @@ _FORCINGS = {
     "constant": (("c",), lambda x, g, p: np.full(g.n, p["c"])),
     "sine": (("amplitude", "frequency"), lambda x, g, p: p["amplitude"] * np.sin(
         np.pi * p["frequency"] * (x - g.a) / (g.b - g.a))),
-    "custom": (("values",), None),
+    "custom": (("values",), lambda x, g, p: np.asarray(p["values"], dtype=float)),
 }
 
 _PENALTY_SCHEMA = {
@@ -142,34 +138,14 @@ class RunConfig:
     seed: int
     echo: dict = field(repr=False)
 
-    def grid(self) -> Grid:
-        return Grid(a=self.a, b=self.b, n=self.n)
-
-    def obstacle_vector(self, grid: Grid | None = None) -> np.ndarray:
-        return _preset_vector("obstacle", _OBSTACLES[self.obstacle_preset],
-                              self.obstacle_params, grid or self.grid())
-
-    def forcing_vector(self, grid: Grid | None = None) -> np.ndarray:
-        return _preset_vector("forcing", _FORCINGS[self.forcing_preset],
-                              self.forcing_params, grid or self.grid())
-
     def build_problem(self, n: int | None = None, s: float | None = None) -> ProblemSpec:
         """Assemble the ProblemSpec, optionally overriding n or s (sweeps)."""
         grid = Grid(a=self.a, b=self.b, n=self.n if n is None else n)
         op = assemble_operator(grid, self.s if s is None else s)
-        return ProblemSpec(op=op, psi=self.obstacle_vector(grid),
-                           f=self.forcing_vector(grid))
-
-
-def _preset_vector(family: str, preset: tuple, params: dict, grid: Grid) -> np.ndarray:
-    values = preset[1]
-    if values is not None:
-        return values(grid.nodes(), grid, params)
-    values = np.asarray(params["values"], dtype=float)
-    if values.shape != (grid.n,):
-        raise ConfigError(
-            f"{family}.values has {values.size} entries, grid has {grid.n} nodes")
-    return values
+        x = grid.nodes()
+        return ProblemSpec(
+            op=op, psi=_OBSTACLES[self.obstacle_preset][1](x, grid, self.obstacle_params),
+            f=_FORCINGS[self.forcing_preset][1](x, grid, self.forcing_params))
 
 
 def _read_pairs(text: str) -> dict:
@@ -242,6 +218,9 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError(f"grid.n must be positive, got {n}")
     if not 0.0 < s < 1.0:
         raise ConfigError(f"operator.s must lie in (0, 1), got {s}")
+    for key in ("obstacle.values", "forcing.values"):
+        if key in values and len(values[key]) != n:
+            raise ConfigError(f"{key} has {len(values[key])} entries, grid has {n} nodes")
     samples, verify_tol = values["verify.samples"], values["verify.tol"]
     if samples < 1:
         raise ConfigError(f"verify.samples must be at least 1, got {samples}")
@@ -274,6 +253,10 @@ def parse_config_text(text: str) -> RunConfig:
                 raise ConfigError("n-axis sweep.values must be positive integers")
             if obstacle_preset == "custom" or forcing_preset == "custom":
                 raise ConfigError("n-axis sweeps cannot use 'custom' presets")
+        elif sweep_axis == "s" and not all(0.0 < v < 1.0 for v in sv):
+            raise ConfigError("s-axis sweep.values must lie in (0, 1)")
+        elif sweep_axis == "epsilon" and not all(v > 0 for v in sv):
+            raise ConfigError("epsilon-axis sweep.values must be positive")
     elif values["sweep.values"] is not None:
         raise ConfigError("sweep.values given without sweep.axis")
 

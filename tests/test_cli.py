@@ -94,9 +94,9 @@ def test_parse_minimal_config():
     cfg = parse_config_text(BASE_CONFIG)
     assert cfg.n == 8 and cfg.s == 0.5
     assert cfg.obstacle_preset == "bump"
-    psi = cfg.obstacle_vector()
-    x = cfg.grid().nodes()
-    np.testing.assert_allclose(psi, 0.5 - 4.0 * (x - 0.5) ** 2)
+    spec = cfg.build_problem()
+    x = spec.op.grid.nodes()
+    np.testing.assert_allclose(spec.psi, 0.5 - 4.0 * (x - 0.5) ** 2)
 
 
 def test_parse_rejects_unknown_key():
@@ -144,9 +144,8 @@ def test_parse_custom_obstacle_length_checked():
     text = BASE_CONFIG.replace("obstacle.preset = bump", "obstacle.preset = custom")
     text = "\n".join(line for line in text.splitlines()
                      if not line.startswith(("obstacle.c", "obstacle.d", "obstacle.m")))
-    cfg = parse_config_text(text + "\nobstacle.values = 1, 2, 3\n")
     with pytest.raises(ConfigError, match="entries"):
-        cfg.obstacle_vector()
+        parse_config_text(text + "\nobstacle.values = 1, 2, 3\n")
 
 
 def test_parse_sweep_validation():
@@ -180,6 +179,13 @@ CONFIG_ERRORS = {
                     + "\npenalty.epsilon = -1\n", "epsilon must be positive"),
     "fractional n": (BASE_CONFIG + _SWEEP.format("n", "8, 9.5"),
                      "n-axis sweep.values must be positive integers"),
+    "short custom list": (_drop(BASE_CONFIG, ("obstacle.", "grid.n")) + "\ngrid.n = 4\n"
+                          "obstacle.preset = custom\nobstacle.values = 1, 2, 3\n",
+                          "obstacle.values has 3 entries, grid has 4 nodes"),
+    "s value above 1": (BASE_CONFIG + _SWEEP.format("s", "0.5, 1.5"),
+                        "s-axis sweep.values must lie in (0, 1)"),
+    "negative epsilon": (BASE_CONFIG + _SWEEP.format("epsilon", "0.1, -0.1"),
+                         "epsilon-axis sweep.values must be positive"),
     "custom n sweep": (BASE_CONFIG.replace("forcing.preset = zero",
                                            "forcing.preset = custom\nforcing.values = "
                                            + ", ".join(["1"] * 8))
@@ -213,6 +219,25 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
     assert main(["solve", "--config", write_config(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+# An operator that over- or underflows shows only when a problem is built:
+# solve exits 2 on it, a sweep records it in the row that builds it.
+_BUILD_ERRORS = ("overflowing operator", "underflowing operator")
+
+
+@pytest.mark.parametrize("case", [c for c in CONFIG_ERRORS if c not in _BUILD_ERRORS])
+def test_config_errors_exit_2_under_sweep(tmp_path, capsys, case):
+    # The parser decides every error the config alone determines, so a
+    # sweep over a valid axis fails before its first row, as solve does.
+    text, message = CONFIG_ERRORS[case]
+    if "sweep.axis" not in text:
+        text += _SWEEP.format("s", "0.25, 0.5")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
 
 
 def _no_build(self, **_):
@@ -271,15 +296,18 @@ def test_float_format_keeps_float_typing():
     assert json.loads(dumps({"v": 2.0}))["v"] == 2.0
 
 
-def test_dumps_rejects_non_finite():
-    with pytest.raises(ValueError):
-        dumps({"v": float("nan")})
+def test_dumps_writes_non_finite_as_null():
+    assert dumps({"v": math.nan, "w": -math.inf, "x": np.float64(math.inf)}) == (
+        '{"v": null, "w": null, "x": null}')
+    assert json.loads(dumps([1.5, math.nan])) == [1.5, None]
+    with pytest.raises(ValueError, match="non-finite"):  # the CSV writers refuse it
+        _fmt_float(math.nan)
 
 
 def test_write_json_leaves_no_file_for_a_record_it_cannot_serialize(tmp_path):
     out = tmp_path / "out.json"
-    with pytest.raises(ValueError, match="non-finite"):
-        _write_json({"worst": float("-inf")}, str(out), 0.0)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        _write_json({"worst": {1.0}}, str(out), 0.0)
     assert not out.exists()
 
 
@@ -292,8 +320,8 @@ def test_dumps_float_array_as_its_list():
     a = np.array([0.1, -0.0, 1e-300, 2.0, math.pi, -3.5e20])
     assert dumps({"a": a}) == dumps({"a": [float(x) for x in a]})
     assert dumps(np.zeros(0)) == "[]"
-    with pytest.raises(ValueError):
-        dumps(np.array([1.0, np.inf]))
+    a = np.array([1.0, np.inf, np.nan, -np.inf])
+    assert dumps(a) == dumps([float(x) for x in a]) == "[1.0, null, null, null]"
 
 
 # --- solve -------------------------------------------------------------------------
@@ -749,6 +777,20 @@ def test_sweep_error_row_with_comma_round_trips(tmp_path):
     assert path.read_text().count("\n") == 3
 
 
+def test_sweep_solver_flag_sets_s_rows_but_not_the_epsilon_axis(tmp_path):
+    # --solver overrides solver.method on every s-axis row; the epsilon
+    # axis always runs the penalty route.
+    text = BASE_CONFIG.replace("solver.method = activeset", "solver.method = psor")
+    for axis, values, solver_id in (("s", "0.25, 0.5, 0.75", "projected_gradient"),
+                                    ("epsilon", "1e-1, 1e-2", "penalty")):
+        cfg = write_config(tmp_path, text + _SWEEP.format(axis, values), f"{axis}.cfg")
+        out = tmp_path / f"{axis}.csv"
+        assert main(["sweep", "--config", cfg, "--csv", str(out), "--solver", "pg"]) == 0
+        rows = sweep_rows(out)
+        assert len(rows) == len(values.split(","))
+        assert all(r["solver"] == solver_id and r["status"] == "ok" for r in rows)
+
+
 def test_sweep_without_axis_is_config_error(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["sweep", "--config", cfg, "--csv", str(tmp_path / "s.csv")]) == 2
@@ -773,15 +815,57 @@ def test_oracle_check_rejects_large_n(tmp_path):
     assert main(["oracle-check", "--config", cfg]) == 2
 
 
-def test_oracle_check_fails_a_nan_deviation(tmp_path, monkeypatch, capsys):
-    # as verify's oracle_agreement does: a NaN counts as the worst deviation
+def nan_psor(monkeypatch):
+    """Make solvers.solve_psor return its solution with u all NaN."""
     real = solvers.solve_psor
     monkeypatch.setattr(solvers, "solve_psor", lambda spec, params=None: dataclasses.replace(
         real(spec, params), u=np.full(spec.n, math.nan)))
+
+
+def test_oracle_check_fails_a_nan_deviation(tmp_path, monkeypatch, capsys):
+    # as verify's oracle_agreement does: a NaN counts as the worst deviation
+    nan_psor(monkeypatch)
     assert main(["oracle-check", "--config", write_config(tmp_path, BASE_CONFIG)]) == 4
     captured = capsys.readouterr()
     assert "psor         max deviation from oracle: nan" in captured.out
     assert "disagreement beyond 1e-07" in captured.err
+
+
+@pytest.mark.parametrize("command", [["oracle-check"], ["verify", "--solver", "psor"]])
+def test_nan_verdict_keeps_exit_4_and_writes_its_record(tmp_path, monkeypatch, capsys, command):
+    # A NaN is written as null, so --out does not turn exit 4 into exit 2.
+    nan_psor(monkeypatch)
+    out = tmp_path / "out.json"
+    assert main([*command, "--config", write_config(tmp_path, BASE_CONFIG),
+                 "--out", str(out)]) == 4
+    assert "config error" not in capsys.readouterr().err
+    record = load_record(out)
+    if command[0] == "oracle-check":
+        assert record["oracle_deviations"]["psor"] is None
+        assert record["oracle_deviations"]["activeset"] <= record["oracle_agree_tol"]
+    else:
+        assert record["u"] == [None] * 8 and record["energy"] is None
+        kkt, oracle = record["reports"][0], record["reports"][-1]
+        assert kkt["check_id"] == "kkt" and oracle["check_id"] == "oracle_agreement"
+        assert kkt["worst_violation"] is None and not kkt["passed"]
+        assert oracle["worst_violation"] is None and not oracle["passed"]
+
+
+def test_exit_3_record_of_a_nan_best_iterate_is_written(tmp_path, monkeypatch, capsys):
+    def nan_give_up(spec, params=None):
+        best = solvers.make_solution(spec, np.full(spec.n, math.nan), 1, "psor", False,
+                                     params)
+        raise IterationLimitError("PSOR gave up", best)
+
+    monkeypatch.setattr(solvers, "solve_psor", nan_give_up)
+    out = tmp_path / "out.json"
+    assert main(["solve", "--config", write_config(tmp_path, BASE_CONFIG), "--solver", "psor",
+                 "--out", str(out)]) == 3
+    assert "solver failure: PSOR gave up" in capsys.readouterr().err
+    record = load_record(out)
+    assert record["u"] == record["residual"] == [None] * 8
+    assert record["energy"] is None and record["converged"] is False
+    assert record["error"] == "PSOR gave up"
 
 
 def test_oracle_check_record_carries_deviations(tmp_path):
