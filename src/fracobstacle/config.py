@@ -142,10 +142,18 @@ class RunConfig:
         """Assemble the ProblemSpec, optionally overriding n or s (sweeps)."""
         grid = Grid(a=self.a, b=self.b, n=self.n if n is None else n)
         op = assemble_operator(grid, self.s if s is None else s)
+        psi, f = self._preset_values(grid)
+        return ProblemSpec(op=op, psi=psi, f=f)
+
+    def _preset_values(self, grid: Grid) -> tuple:
+        """(psi, f): the obstacle and forcing presets at the nodes of grid.
+
+        An overflow gives a non-finite value without a numpy warning; the
+        callers reject it."""
         x = grid.nodes()
-        return ProblemSpec(
-            op=op, psi=_OBSTACLES[self.obstacle_preset][1](x, grid, self.obstacle_params),
-            f=_FORCINGS[self.forcing_preset][1](x, grid, self.forcing_params))
+        with np.errstate(all="ignore"):
+            return (_OBSTACLES[self.obstacle_preset][1](x, grid, self.obstacle_params),
+                    _FORCINGS[self.forcing_preset][1](x, grid, self.forcing_params))
 
 
 def _read_pairs(text: str) -> dict:
@@ -264,7 +272,7 @@ def parse_config_text(text: str) -> RunConfig:
         key.split(".", 1)[1]: values[key]
         for key in schema if key.startswith(prefix) and not key.endswith("preset")}
 
-    return RunConfig(
+    cfg = RunConfig(
         a=a, b=b, n=n, s=s,
         obstacle_preset=obstacle_preset,
         obstacle_params=prefix_params("obstacle."),
@@ -282,6 +290,14 @@ def parse_config_text(text: str) -> RunConfig:
         seed=values["seed"],
         echo={k: values[k] for k in sorted(values) if values[k] is not None},
     )
+    # A preset that overflows is a config error; an n-axis sweep evaluates its
+    # presets on each row's grid, so it finds one in that row.
+    if sweep_axis != "n":
+        psi, f = cfg._preset_values(Grid(a=a, b=b, n=n))
+        for family, vector in (("obstacle", psi), ("forcing", f)):
+            if not np.isfinite(vector).all():
+                raise ConfigError(f"{family} values must be finite")
+    return cfg
 
 
 def parse_config(path: str) -> RunConfig:

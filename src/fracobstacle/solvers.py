@@ -379,23 +379,32 @@ def solve_projected_gradient(spec: ProblemSpec, params: SolverParams | None = No
         f"{params.max_iter} iterations", u, params.max_iter, "projected_gradient", params)
 
 
-def _free_block_pcg(op: FracLapOperator, free: np.ndarray, psi: np.ndarray,
-                    f: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Solve A_FF x = f_F - A_FS psi_S matrix-free, warm-started at start_F.
+def _solve_free_block(op: FracLapOperator, free: np.ndarray, psi: np.ndarray,
+                      f: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The active-set pass iterate: u = psi off F, A_FF u_F = f_F - A_FS psi_S on F.
 
-    Every product zero-extends a free-block vector to the grid, applies the
-    full operator (FFT matvec) or the Strang circulant inverse, and restricts
-    back to the free nodes F; S is the complement of F.
+    Up to DENSE_LIMIT, op.block gathers both blocks for spd_solve.  Above,
+    Strang-preconditioned CG on zero-extended FFT matvecs runs to
+    _FREE_BLOCK_TOL, warm-started at start_F.
     """
+    u = psi.copy()
+    if not free.any():
+        return u
+    if op.grid.n <= DENSE_LIMIT:
+        rhs = f[free] - op.block(free, ~free) @ psi[~free]
+        u[free] = spd_solve(op.block(free, free), rhs)
+        return u
+
     def extend(x):  # a (k, |F|) stack to (k, n)
         y = np.zeros((len(x), op.grid.n))
         y[:, free] = x
         return y
 
     rhs = (f - op.apply(np.where(free, 0.0, psi)))[free]
-    return _pcg(lambda x: op.apply(extend(x))[:, free],
-                lambda r: op.strang_solve(extend(r))[:, free],
-                rhs, start[free], _FREE_BLOCK_TOL, PCG_MAX_ITER)
+    u[free] = _pcg(lambda x: op.apply(extend(x))[:, free],
+                   lambda r: op.strang_solve(extend(r))[:, free],
+                   rhs, start[free], _FREE_BLOCK_TOL, PCG_MAX_ITER)
+    return u
 
 
 def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> Solution:
@@ -403,18 +412,15 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
 
     Guess the active set S, pin u = psi on S, solve the free block, then
     move primal-infeasible free nodes into S and dual-infeasible active
-    nodes out.  For n <= DENSE_LIMIT the free block is gathered by op.block
-    and solved by Cholesky (operator.spd_solve); above,
-    it is solved matrix-free by Strang-preconditioned conjugate gradients,
-    warm-started from the previous pass.  For M-matrices this terminates in
+    nodes out.  _solve_free_block solves each pass's free block, given the
+    previous pass as its start.  For M-matrices this terminates in
     finitely many passes (Hintermueller, Ito & Kunisch, 2002).
     Running out of passes (params.max_iter), a cycle or a failed free-block
     solve raises IterationLimitError with the iterate of least KKT violation.
     """
     params = params or SolverParams()
     op, psi, f = spec.op, spec.psi, spec.f
-    n = spec.n
-    active = np.zeros(n, dtype=bool)
+    active = np.zeros(spec.n, dtype=bool)
     seen = set()
     u = psi.copy()
     best, best_viol = u, np.inf
@@ -426,17 +432,11 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
             break
         seen.add(key)
         free = ~active
-        start, u = u, psi.copy()
-        if free.any():
-            if n > DENSE_LIMIT:
-                try:
-                    u[free] = _free_block_pcg(op, free, psi, f, start)
-                except IterationLimitError as exc:
-                    raise _iteration_limit(spec, f"active set pass {it}: {exc}", best,
-                                           it - 1, "active_set", params) from None
-            else:
-                rhs = f[free] - op.block(free, active) @ psi[active]
-                u[free] = spd_solve(op.block(free, free), rhs)
+        try:
+            u = _solve_free_block(op, free, psi, f, u)
+        except IterationLimitError as exc:
+            raise _iteration_limit(spec, f"active set pass {it}: {exc}", best,
+                                   it - 1, "active_set", params) from None
         r = op.apply(u) - f
         primal_bad = free & (u < psi - eps)
         dual_bad = active & (r < -eps)

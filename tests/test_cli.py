@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,9 @@ CONFIG_ERRORS = {
                             "key 'solver.active_tol': expected a finite number"),
     "infinite n value": (BASE_CONFIG + _SWEEP.format("n", "8, inf"),
                          "key 'sweep.values': expected a finite number, got 'inf'"),
+    "overflowing preset": (BASE_CONFIG.replace("obstacle.d = 4.0", "obstacle.d = 1e308")
+                           .replace("obstacle.m = 0.5", "obstacle.m = 1e10"),
+                           "obstacle values must be finite"),
     "overflowing operator": (BASE_CONFIG.replace("domain.b = 1.0", "domain.b = 1e-300")
                              .replace("operator.s = 0.5", "operator.s = 0.9"),
                              "operator diagonal D = inf is not a positive finite number"),
@@ -238,6 +242,27 @@ def test_config_errors_exit_2_under_sweep(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, values, code", [("epsilon", "1e-1, 1e-2", 2),
+                                               ("n", "8, 16", 3)])
+def test_overflowing_preset_under_sweep_prints_no_warning(tmp_path, capsys,
+                                                          axis, values, code):
+    # Off the n axis a preset's values do not depend on the row, so the
+    # parser rejects them once (the s axis is a CONFIG_ERRORS case); on it
+    # each row finds the error in its own.
+    text = CONFIG_ERRORS["overflowing preset"][0] + _SWEEP.format(axis, values)
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = main(["sweep", "--config", write_config(tmp_path, text), "--csv", str(out)])
+    assert got == code and caught == []
+    if code == 2:
+        assert "config error: obstacle values must be finite" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        statuses = [row["status"] for row in sweep_rows(out)]
+        assert statuses == ["error: obstacle values must be finite"] * 2
 
 
 def _no_build(self, **_):
@@ -464,8 +489,8 @@ def test_exit_3_when_active_set_runs_out_of_passes(tmp_path, capsys):
 def test_exit_3_when_active_set_revisits_an_active_set(tmp_path, capsys, monkeypatch):
     # Free-block solves stubbed to land below psi make every node active;
     # the constant forcing then makes every node leave, so S cycles.
-    monkeypatch.setattr(solvers, "_free_block_pcg",
-                        lambda op, free, *rest: np.full(int(free.sum()), -1e3))
+    monkeypatch.setattr(solvers, "_solve_free_block",
+                        lambda op, free, psi, *rest: np.where(free, -1e3, psi))
     text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 520")
     text = text.replace("forcing.preset = zero", "forcing.preset = constant\nforcing.c = 1e4")
     cfg = write_config(tmp_path, text)
@@ -550,7 +575,7 @@ def test_exit_3_when_an_active_set_free_block_solve_fails(tmp_path, capsys, monk
     spec = run.build_problem()
     with pytest.raises(IterationLimitError, match="did not settle in 1 passes") as first:
         solvers.solve_active_set(spec, dataclasses.replace(run.solver_params, max_iter=1))
-    real, calls = solvers._free_block_pcg, []
+    real, calls = solvers._solve_free_block, []
 
     def second_call_fails(op, free, *rest):
         calls.append(free)
@@ -558,7 +583,7 @@ def test_exit_3_when_an_active_set_free_block_solve_fails(tmp_path, capsys, monk
             raise IterationLimitError("inner solve gave up", best=np.zeros(int(free.sum())))
         return real(op, free, *rest)
 
-    monkeypatch.setattr(solvers, "_free_block_pcg", second_call_fails)
+    monkeypatch.setattr(solvers, "_solve_free_block", second_call_fails)
     out = str(tmp_path / "out.json")
     cfg = write_config(tmp_path, text)
     assert main(["solve", "--config", cfg, "--out", out, "--solver", "activeset"]) == 3
@@ -938,6 +963,9 @@ GOLDEN_CASES = {
     "pg-600": ("solve", "golden_pg_600.cfg", ("--solver", "pg"), "golden_pg_600.json"),
     "verify-activeset-300": ("verify", "golden_pg.cfg", ("--solver", "activeset"),
                              "golden_verify_activeset.json"),
+    # n=600: the active set's matrix-free free blocks, warm-started over 9 passes.
+    "activeset-600": ("solve", "golden_pg_600.cfg", ("--solver", "activeset"),
+                      "golden_activeset_600.json"),
 }
 
 

@@ -12,11 +12,13 @@ from fracobstacle import (
     PenaltyParams,
     ProblemSpec,
     Solution,
+    SolverError,
     SolverParams,
     brute_force_oracle,
     check_lewy_stampacchia,
     check_smallest_supersolution,
     kkt_violation,
+    make_solution,
     reduce_to_zero_forcing,
     solve_active_set,
     solve_linear,
@@ -205,15 +207,17 @@ def test_dense_factor_computed_once_per_operator(monkeypatch):
             calls.append(1)
         return real_dpotrf(*args, **kwargs)
 
-    def block_solve(a, b):
+    real_block_solve = solvers._solve_free_block
+
+    def block_solve(*args):
         in_block.append(1)
         try:
-            return spd_solve(a, b)
+            return real_block_solve(*args)
         finally:
             in_block.pop()
 
     monkeypatch.setattr(lp, "dpotrf", counting_dpotrf)
-    monkeypatch.setattr(solvers, "spd_solve", block_solve)
+    monkeypatch.setattr(solvers, "_solve_free_block", block_solve)
     spec = random_instance(21, n=32, s=0.5)
     u = solve_active_set(spec, PARAMS).u
     reduced = reduce_to_zero_forcing(spec)
@@ -415,12 +419,23 @@ def test_active_set_matrix_free_agrees_with_psor(s):
 
 @pytest.mark.parametrize("s", [0.5, 0.9])
 @pytest.mark.parametrize("n", [511, 4095])  # dense and matrix-free free blocks
-def test_active_set_recovers_manufactured_solution(n, s):
+def test_active_set_recovers_manufactured_solution(n, s, monkeypatch):
+    # Counts the rows through _pcg's matvec, warm-start checks included:
+    # 52 (s = 0.5) and 64 (s = 0.9) at n = 4095 with one BLAS thread.  An
+    # identity preconditioner takes 14169 at s = 0.5 and runs out of
+    # PCG_MAX_ITER at s = 0.9.  Up to DENSE_LIMIT no pass reaches _pcg.
+    rows, real_pcg = [], solvers._pcg
+
+    def counting_pcg(matvec, precondition, *args):
+        return real_pcg(lambda x: rows.append(len(x)) or matvec(x), precondition, *args)
+
+    monkeypatch.setattr(solvers, "_pcg", counting_pcg)
     spec, u_star, contact = manufactured_instance(n, s)
     sol = solve_active_set(spec)
     assert sol.converged
     np.testing.assert_array_equal(sol.active_set, np.flatnonzero(contact))
     assert np.abs(sol.u - u_star).max() <= 1e-12
+    assert sum(rows) <= (80 if n > solvers.DENSE_LIMIT else 0)
 
 
 def test_active_set_iteration_limit_carries_best_iterate():
@@ -505,9 +520,8 @@ def test_free_blocks_are_far_from_singular(n, s):
 def test_active_set_cycle_raises_with_best_iterate(monkeypatch, n):
     # Free-block solves stubbed to land below psi send every node into S;
     # A psi - f = -1 then sends every node out again, and the empty S recurs.
-    monkeypatch.setattr(solvers, "spd_solve", lambda a, b: np.full(b.size, -1e3))
-    monkeypatch.setattr(solvers, "_free_block_pcg",
-                        lambda op, free, *rest: np.full(int(free.sum()), -1e3))
+    monkeypatch.setattr(solvers, "_solve_free_block",
+                        lambda op, free, psi, *rest: np.where(free, -1e3, psi))
     op = make_op(n=n)
     psi = bump_instance(n, 0.5).psi
     spec = ProblemSpec(op, psi, op.apply(psi) + 1.0)
@@ -613,6 +627,24 @@ def test_penalty_sandwich_random_nonnegative_obstacles():
         gap = result.u_eps - result.solution.u
         assert gap.max() <= 1e-3 + 10 * params.tol
         assert gap.min() >= -10 * params.tol
+
+
+def test_penalty_sandwich_violation_raises(monkeypatch):
+    # The obstacle solution is patched up past u_eps's lowest gap by 100 tol,
+    # between the sandwich's slack of 10 tol and a slack of 1000 tol.
+    spec = random_instance(94, n=12, nonneg_psi=True, zero_f=True)
+    solvers._penalty_setup.cache_clear()
+    result = solve_penalty(spec, PenaltyParams(epsilon=1e-3), PARAMS)
+    lift = float((result.u_eps - result.solution.u).min()) + 100 * PARAMS.tol
+    real = solvers.solve_psor
+    monkeypatch.setattr(solvers, "solve_psor", lambda spec, params: make_solution(
+        spec, real(spec, params).u + lift, 1, "psor", True, params))
+    solvers._penalty_setup.cache_clear()
+    try:
+        with pytest.raises(SolverError, match="penalty sandwich violated: min gap -"):
+            solve_penalty(spec, PenaltyParams(epsilon=1e-3), PARAMS)
+    finally:
+        solvers._penalty_setup.cache_clear()
 
 
 def test_penalty_gap_monotone_in_epsilon():

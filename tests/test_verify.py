@@ -272,6 +272,15 @@ def test_linfty_dependence_random_pairs():
                                        tol=1e-8).passed
 
 
+def test_linfty_dependence_fails_on_a_u_below_the_solution():
+    # psi2 = psi: u2 is the solution, so only the negative side sees u - u2 < 0.
+    spec = random_instance(335, n=12)
+    u = solve_active_set(spec, PARAMS).u.copy()
+    u[5] -= 1e-3
+    report = check_linfty_dependence(spec, u, spec.psi.copy())
+    assert not report.passed and report.worst_violation == pytest.approx(1e-3)
+
+
 # --- sup-norm bounds ----------------------------------------------------------------
 
 def test_bounds_constant_obstacle_pins_solution():
@@ -290,6 +299,15 @@ def test_bounds_zero_forcing_sharp():
         assert report.passed
         assert np.all(sol.u <= np.maximum(spec.psi, 0.0).max() + 1e-8)
         assert np.all(sol.u >= np.maximum(spec.psi, 0.0) - 1e-8)
+
+
+def test_bounds_zero_forcing_fails_above_max_psi_plus():
+    # Raised at one node, u stays above the lower bound; only the upper fails.
+    spec = random_instance(341, n=12, zero_f=True)
+    u = solve_active_set(spec, PARAMS).u.copy()
+    u[int(np.argmax(u))] += 1e-3
+    report = check_bounds_cinfty(spec, u, tol=1e-8)
+    assert not report.passed and report.worst_violation == pytest.approx(1e-3)
 
 
 def test_bounds_lower_dominates_omega_for_nonnegative_forcing():
@@ -317,6 +335,15 @@ def test_truncation_identities_other_orders():
     for s in (0.25, 0.75):
         assert check_truncation_identities(make_op(n=10, s=s), samples=200,
                                            seed=2).passed
+
+
+def test_truncation_identities_fail_without_strictness():
+    # A diagonal A meets every inequality with equality, <A v^+, v^-> = 0:
+    # only the strictness condition can fail it.
+    op = make_op(n=12, s=0.5)
+    report = check_truncation_identities(
+        dataclasses.replace(op, weights=np.zeros_like(op.weights)), samples=50, seed=4)
+    assert report.worst_violation == 0.0 and not report.passed
 
 
 def test_truncation_identities_five_matvecs_per_draw(monkeypatch):
