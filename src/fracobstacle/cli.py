@@ -218,19 +218,19 @@ def _solver_failure(record: dict, exc: SolverError, cfg: RunConfig, spec: Proble
     return 3
 
 
-def _write_solution_csv(path: str, spec: ProblemSpec, sol: Solution):
-    x = spec.op.grid.nodes()
-    active = np.zeros(spec.n, dtype=int)
-    active[sol.active_set] = 1
+def _write_csv(path: str, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "psi", "f", "u", "r", "active"])
-        for i in range(spec.n):
-            writer.writerow([
-                _fmt_float(float(x[i])), _fmt_float(float(spec.psi[i])),
-                _fmt_float(float(spec.f[i])), _fmt_float(float(sol.u[i])),
-                _fmt_float(float(sol.residual[i])), active[i],
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_solution_csv(path: str, spec: ProblemSpec, sol: Solution):
+    active = np.zeros(spec.n, dtype=int)
+    active[sol.active_set] = 1
+    columns = (spec.op.grid.nodes(), spec.psi, spec.f, sol.u, sol.residual)
+    rows = zip(*(map(_fmt_float, c.tolist()) for c in columns), active.tolist())
+    _write_csv(path, ("x", "psi", "f", "u", "r", "active"), rows)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -243,9 +243,9 @@ def cmd_solve(cfg: RunConfig, spec: ProblemSpec, record: dict, started: float) -
     _write_json(record, cfg.output_json, started)
     if cfg.output_csv:
         _write_solution_csv(cfg.output_csv, spec, sol)
-    viol, _ = kkt_violation(spec, sol.u)
+    viol, _ = kkt_violation(spec, sol.u, sol.residual)
     print(f"solved: n={cfg.n} s={cfg.s} solver={sol.solver_id} "
-          f"iterations={sol.iterations} energy={spec.op.energy(sol.u, spec.f):.9g} "
+          f"iterations={sol.iterations} energy={record['energy']:.9g} "
           f"kkt_violation={viol:.3e}")
     return 0
 
@@ -335,7 +335,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 method = "penalty"
                 pparams = dataclasses.replace(pparams, epsilon=float(value))
             sol, extras = run_single(spec, method, cfg.solver_params, pparams)
-            viol, _ = kkt_violation(spec, sol.u)
+            viol, _ = kkt_violation(spec, sol.u, sol.residual)
             row["solver"] = sol.solver_id
             row["converged"] = int(sol.converged)
             row["iterations"] = sol.iterations
@@ -347,10 +347,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         except (RuntimeError, ValueError) as exc:
             row["status"] = f"error: {exc}"
         rows.append(row)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows([row[c] for c in SWEEP_COLUMNS] for row in rows)
+    _write_csv(csv_path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
     bad = sum(1 for row in rows if row["status"] != "ok")
     print(f"sweep over {cfg.sweep_axis}: {len(rows)} point(s), {bad} failure(s), "
           f"wrote {csv_path}")
@@ -453,9 +450,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def console_main():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operator import Grid, assemble_operator
-from .solvers import SOLVERS, PenaltyParams, ProblemSpec, SolverParams
+from .solvers import SOLVERS, PenaltyParams, ProblemSpec, SolverParams, _check_penalty_size
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text"]
 
@@ -267,6 +267,11 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError("epsilon-axis sweep.values must be positive")
     elif values["sweep.values"] is not None:
         raise ConfigError("sweep.values given without sweep.axis")
+    if penalty_enabled:  # at the largest n the config runs
+        try:
+            _check_penalty_size(int(max(values["sweep.values"])) if sweep_axis == "n" else n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     prefix_params = lambda prefix: {
         key.split(".", 1)[1]: values[key]

@@ -56,6 +56,19 @@ PCG_MAX_ITER = 20_000
 _LINEAR_TOL = 1e-12
 # Relative residual of the active set's free-block solves above DENSE_LIMIT.
 _FREE_BLOCK_TOL = 1e-15
+# Slack K of ProblemSpec's data-scale bound: K n max(1, D) M^2 must be finite,
+# with M = 1 + ||psi||_inf + ||f||_inf / (2 tail(n)).  Varah's bound
+# ||A^{-1}||_inf <= 1 / (2 tail(n)) (row i's margin is tail(i) + tail(n+1-i))
+# gives ||A^{-1} f||_inf <= M, so the solution lies in [-M, 2M]: it is at least
+# max(psi, A^{-1} f) and at most A^{-1} f + ||(psi - A^{-1} f)^+||_inf.  The 1
+# covers the checkers' draws, scaled by 1 + ||psi||_inf or 1 + ||f||_inf.
+# ||A v||_inf <= 2D ||v||_inf, an FFT matvec's intermediates stay below
+# 2nD ||v||_inf, and ||f||_inf <= 2 tail(1) M = D M.  The largest product is
+# check_minty's pairing, a sum over n nodes of (A v - f)_i (v - u)_i: its draws
+# v = psi + |g| (1 + ||psi||_inf) have |g| < 8 (P(|g| > 8) = 1.2e-15 per draw),
+# so ||v||_inf < 9M and each term is below 19 D M * 11 M = 209 D M^2 <= K D M^2;
+# v.v stays below 81 n M^2.
+_DATA_SLACK = 256.0
 # Brute-force enumeration is restricted to 2^n candidate active sets.
 ORACLE_MAX_N = 14
 # The oracle keeps candidates with u >= psi and A u - f >= 0 within this.
@@ -83,7 +96,8 @@ class ProblemSpec:
     """Obstacle psi and forcing f sampled on the operator's grid.
 
     The feasible set K = {v : v >= psi componentwise} is never empty:
-    psi^+ is always feasible.
+    psi^+ is always feasible.  Data whose products would overflow somewhere
+    in a solver or a checker is refused with ValueError (see _DATA_SLACK).
     """
 
     op: FracLapOperator
@@ -97,6 +111,14 @@ class ProblemSpec:
             raise ValueError("obstacle values must be finite")
         if not np.isfinite(self.f).all():
             raise ValueError("forcing values must be finite")
+        with np.errstate(all="ignore"):  # an overflow is the verdict, not a warning
+            scale = (1.0 + np.abs(self.psi).max()
+                     + np.abs(self.f).max() / (2.0 * self.op.tail(self.n)))
+            bound = _DATA_SLACK * self.n * max(1.0, self.op.diag) * scale * scale
+        if not np.isfinite(bound):
+            raise ValueError(
+                f"obstacle and forcing too large: {_DATA_SLACK:g} n max(1, D) M^2 overflows, "
+                f"M = 1 + ||psi||_inf + ||f||_inf / (2 tail(n)) = {scale:.3e}")
 
     @property
     def n(self) -> int:
@@ -498,6 +520,12 @@ def _penalty_setup(op: FracLapOperator, psi_plus: bytes, params: SolverParams):
     return exact, q, ainv_norm, rho
 
 
+def _check_penalty_size(n: int):
+    """The penalty route's size cap, kept by solve_penalty and by the config parser."""
+    if n > DENSE_LIMIT:
+        raise ValueError(f"penalty solver requires n <= {DENSE_LIMIT}, got {n}")
+
+
 def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None,
                   params: SolverParams | None = None) -> PenaltyResult:
     """Penalty approximation of the obstacle problem (zero forcing only).
@@ -528,8 +556,7 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
     if np.any(spec.f != 0.0):
         raise ValueError("solve_penalty requires zero forcing; "
                          "apply reduce_to_zero_forcing first")
-    if n > DENSE_LIMIT:
-        raise ValueError(f"penalty solver requires n <= {DENSE_LIMIT}, got {n}")
+    _check_penalty_size(n)
 
     psi_plus = np.maximum(spec.psi, 0.0)
     exact, q, ainv_norm, rho = _penalty_setup(op, psi_plus.tobytes(), params)

@@ -197,6 +197,16 @@ CONFIG_ERRORS = {
                        "key 'verify.tol': expected a finite number, got 'nan'"),
     "negative verify tol": (BASE_CONFIG + "\nverify.tol = -1\n",
                             "verify.tol must be positive, got -1.0"),
+    "penalty above dense limit": (BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
+                                  .replace("method = activeset", "method = penalty"),
+                                  "penalty solver requires n <= 512, got 600"),
+    "epsilon axis above dense limit": (BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
+                                       + _SWEEP.format("epsilon", "1e-1, 1e-2"),
+                                       "penalty solver requires n <= 512, got 600"),
+    "penalty n axis above dense limit": (BASE_CONFIG.replace("method = activeset",
+                                                             "method = penalty")
+                                         + _SWEEP.format("n", "8, 520"),
+                                         "penalty solver requires n <= 512, got 520"),
     "infinite solver tol": (BASE_CONFIG + "\nsolver.tol = inf\n",
                             "key 'solver.tol': expected a finite number"),
     "infinite active tol": (BASE_CONFIG + "\nsolver.active_tol = inf\n",
@@ -263,6 +273,34 @@ def test_overflowing_preset_under_sweep_prints_no_warning(tmp_path, capsys,
     else:
         statuses = [row["status"] for row in sweep_rows(out)]
         assert statuses == ["error: obstacle values must be finite"] * 2
+
+
+_PLATEAU = """
+grid.n = {n}
+operator.s = 0.5
+obstacle.preset = plateau
+obstacle.c = {c}
+obstacle.l = 0.3
+obstacle.r = 0.7
+"""
+
+
+@pytest.mark.parametrize("c, n, method, code", [
+    *((c, n, method, 2) for c, n in ((1e300, 100), (1e306, 600))
+      for method in ("psor", "pg", "activeset", "penalty")),
+    (1e100, 100, "activeset", 0)])
+def test_data_whose_products_overflow_exits_2_without_warning(tmp_path, capsys,
+                                                              c, n, method, code):
+    # At c = 1e300 the energy and r (u - psi) overflow, and each solver would
+    # fail its own way, some after 200000 sweeps; ProblemSpec refuses such data
+    # before any solve.  c = 1e100 stays well inside its bound.
+    cfg = write_config(tmp_path, _PLATEAU.format(n=n, c=c))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", cfg, "--solver", method]) == code
+    assert caught == []
+    if code == 2:
+        assert "config error: obstacle and forcing too large" in capsys.readouterr().err
 
 
 def _no_build(self, **_):
@@ -787,9 +825,10 @@ def test_sweep_n_axis(tmp_path):
 
 
 def test_sweep_error_row_with_comma_round_trips(tmp_path):
-    # The penalty route stops above n = 512 with "requires n <= 512, got 520".
-    text = BASE_CONFIG.replace("solver.method = activeset", "solver.method = penalty")
-    text += "\nsweep.axis = n\nsweep.values = 8, 520\n"
+    # At s = 0.9 the operator's diagonal overflows on this domain, and the
+    # row's error names h and s, separated by a comma.
+    text = BASE_CONFIG.replace("domain.b = 1.0", "domain.b = 1e-300")
+    text += _SWEEP.format("s", "0.5, 0.9")
     cfg = write_config(tmp_path, text)
     path = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", cfg, "--csv", str(path)]) == 3
@@ -798,7 +837,8 @@ def test_sweep_error_row_with_comma_round_trips(tmp_path):
     assert len(header) == len(ok) == len(bad) == 9
     status = header.index("status")
     assert ok[status] == "ok"
-    assert bad[status] == "error: penalty solver requires n <= 512, got 520"
+    assert bad[status] == ("error: operator diagonal D = inf is not a positive finite "
+                           "number at h = 1.1111111111111111e-301, s = 0.9")
     assert path.read_text().count("\n") == 3
 
 
@@ -949,6 +989,7 @@ def test_epsilon_sweep_psor_failure_gives_every_row_its_error(tmp_path, monkeypa
 # any change to a number, a key or the key order shows up here.
 GOLDEN_CASES = {
     "solve": ("solve", "golden_solve.cfg", (), "golden_solve.json"),
+    "solve-csv": ("solve", "golden_solve.cfg", (), "golden_solve.csv"),
     "verify": ("verify", "golden_verify.cfg", (), "golden_verify.json"),
     "penalty": ("solve", "golden_penalty.cfg", ("--solver", "penalty"),
                 "golden_penalty.json"),
@@ -999,3 +1040,13 @@ def test_golden_record(tmp_path, case):
     produced = strip_timing(load_record(out))
     golden = strip_timing(json.loads(golden_path.read_text()))
     assert dumps(produced) == dumps(golden)
+
+
+def test_solve_summary_line(tmp_path, capsys):
+    # The summary reads the energy and the KKT violation of the solve the
+    # record holds; its digits are pinned like the record's.
+    cfg = write_config(tmp_path, (DATA_DIR / "golden_solve.cfg").read_text())
+    assert main(["solve", "--config", cfg]) == 0
+    assert capsys.readouterr().out == (
+        "solved: n=6 s=0.5 solver=active_set iterations=3 energy=0.193650223 "
+        "kkt_violation=6.162e-18\n")

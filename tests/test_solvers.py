@@ -157,6 +157,24 @@ def test_problem_spec_validation():
     np.testing.assert_array_equal(spec.default_start(), np.zeros(4))
 
 
+@pytest.mark.parametrize("b", [1.0, 1e6])  # D = 6.4, and D = 6.4e-6 < 1
+@pytest.mark.parametrize("family", ["psi", "f"])
+def test_problem_spec_refuses_data_whose_products_overflow(family, b):
+    # 256 n max(1, D) M^2 must stay finite; at n = 4 on (0, 1) it is 6.5e303
+    # for M = 1e150 and overflows for M = 1e153.  Off (0, 1) D < 1, and the
+    # draws' own squares v.v decide; f counts through ||A^{-1}||_inf.
+    op = make_op(n=4, b=b)
+    tail = 2.0 * float(op.tail(4))
+    for value, refused in ((1e150, False), (1e153, True)):
+        data = {"psi": np.zeros(4), "f": np.zeros(4)}
+        data[family] = np.full(4, value * (tail if family == "f" else 1.0))
+        if refused:
+            with pytest.raises(ValueError, match="obstacle and forcing too large"):
+                ProblemSpec(op, **data)
+        else:
+            ProblemSpec(op, **data)
+
+
 # --- linear solve ---------------------------------------------------------------
 
 def test_solve_linear_zero_rhs():
