@@ -33,6 +33,7 @@ from .solvers import (
     Solution,
     SolverError,
     SolverParams,
+    _check_penalty_size,
     brute_force_oracle,
     kkt_violation,
     make_solution,
@@ -133,7 +134,8 @@ def run_single(spec: ProblemSpec, method: str, params: SolverParams,
     """
     if method in SOLVERS:
         return SOLVERS[method](spec, params), None
-    reduced = reduce_to_zero_forcing(spec)  # method == "penalty"
+    _check_penalty_size(spec.n)  # method == "penalty"; before the reduction solves
+    reduced = reduce_to_zero_forcing(spec)
     rspec = ProblemSpec(op=spec.op, psi=reduced.psi_reduced, f=np.zeros(spec.n))
     try:
         result = solve_penalty(rspec, penalty_params, params)
@@ -318,22 +320,28 @@ def cmd_sweep(cfg: RunConfig) -> int:
     csv_path = cfg.output_csv
     if not csv_path:
         raise ConfigError("sweep requires a CSV output path (output.csv or --csv)")
+    axis, values = cfg.sweep_axis, cfg.sweep_values
+    # Every row's problem is built and checked before any row is solved, so an
+    # input error exits 2 with no row written and a row records only a solver
+    # failure.  Every epsilon shares one problem, so one operator: the penalty
+    # solver's eps-free setup (its PSOR solve) then runs once.
+    if axis == "epsilon":
+        specs = [cfg.build_problem()] * len(values)
+    else:
+        specs = [cfg.build_problem(s=float(v) if axis == "s" else None,
+                                   n=int(v) if axis == "n" else None) for v in values]
+    method = "penalty" if axis == "epsilon" else cfg.solver_method
+    if method == "penalty":
+        _check_penalty_size(max(spec.n for spec in specs))
     rows = []
-    spec = None
-    for value in cfg.sweep_values:
+    for value in values:
+        spec = specs.pop(0)  # released with its row, a penalty row's Cholesky factor too
         row = {c: "" for c in SWEEP_COLUMNS}
-        row["axis"], row["value"] = cfg.sweep_axis, value
+        row["axis"], row["value"] = axis, value
+        pparams = cfg.penalty_params
+        if axis == "epsilon":
+            pparams = dataclasses.replace(pparams, epsilon=float(value))
         try:
-            # Every epsilon shares one problem, so one operator: the penalty
-            # solver's eps-free setup (its PSOR solve) then runs once.
-            if spec is None or cfg.sweep_axis != "epsilon":
-                spec = cfg.build_problem(
-                    s=float(value) if cfg.sweep_axis == "s" else None,
-                    n=int(value) if cfg.sweep_axis == "n" else None)
-            method, pparams = cfg.solver_method, cfg.penalty_params
-            if cfg.sweep_axis == "epsilon":  # always exercises the penalty route
-                method = "penalty"
-                pparams = dataclasses.replace(pparams, epsilon=float(value))
             sol, extras = run_single(spec, method, cfg.solver_params, pparams)
             viol, _ = kkt_violation(spec, sol.u, sol.residual)
             row["solver"] = sol.solver_id
@@ -344,12 +352,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
             if extras is not None:
                 row["max_penalty_gap"] = _fmt_float(extras["max_gap"])
             row["status"] = "ok"
-        except (RuntimeError, ValueError) as exc:
+        except SolverError as exc:
             row["status"] = f"error: {exc}"
         rows.append(row)
     _write_csv(csv_path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
     bad = sum(1 for row in rows if row["status"] != "ok")
-    print(f"sweep over {cfg.sweep_axis}: {len(rows)} point(s), {bad} failure(s), "
+    print(f"sweep over {axis}: {len(rows)} point(s), {bad} failure(s), "
           f"wrote {csv_path}")
     return 0 if bad == 0 else 3
 

@@ -4,7 +4,8 @@ Config files are plain text, one `key = value` per line, `#` comments and
 blank lines allowed.  Keys are dotted section paths (domain.a, solver.tol).
 Parsing is strict: unknown keys, missing required keys, type errors, and
 preset parameters that do not belong to the chosen preset are all errors,
-so misconfiguration never passes silently.
+so misconfiguration never passes silently.  The parser checks only what the
+text says; building a problem checks its data (ProblemSpec) and its operator.
 
 Obstacle presets (evaluated at the interior nodes):
     bump      psi(x) = c - d (x - m)^2          keys: obstacle.c, .d, .m
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operator import Grid, assemble_operator
-from .solvers import SOLVERS, PenaltyParams, ProblemSpec, SolverParams, _check_penalty_size
+from .solvers import SOLVERS, PenaltyParams, ProblemSpec, SolverParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text"]
 
@@ -139,21 +140,17 @@ class RunConfig:
     echo: dict = field(repr=False)
 
     def build_problem(self, n: int | None = None, s: float | None = None) -> ProblemSpec:
-        """Assemble the ProblemSpec, optionally overriding n or s (sweeps)."""
+        """Assemble the ProblemSpec, optionally overriding n or s (sweeps).
+
+        A preset that overflows gives a non-finite value without a numpy
+        warning, and ProblemSpec rejects it with ValueError."""
         grid = Grid(a=self.a, b=self.b, n=self.n if n is None else n)
         op = assemble_operator(grid, self.s if s is None else s)
-        psi, f = self._preset_values(grid)
-        return ProblemSpec(op=op, psi=psi, f=f)
-
-    def _preset_values(self, grid: Grid) -> tuple:
-        """(psi, f): the obstacle and forcing presets at the nodes of grid.
-
-        An overflow gives a non-finite value without a numpy warning; the
-        callers reject it."""
         x = grid.nodes()
         with np.errstate(all="ignore"):
-            return (_OBSTACLES[self.obstacle_preset][1](x, grid, self.obstacle_params),
-                    _FORCINGS[self.forcing_preset][1](x, grid, self.forcing_params))
+            psi = _OBSTACLES[self.obstacle_preset][1](x, grid, self.obstacle_params)
+            f = _FORCINGS[self.forcing_preset][1](x, grid, self.forcing_params)
+        return ProblemSpec(op=op, psi=psi, f=f)
 
 
 def _read_pairs(text: str) -> dict:
@@ -267,17 +264,12 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError("epsilon-axis sweep.values must be positive")
     elif values["sweep.values"] is not None:
         raise ConfigError("sweep.values given without sweep.axis")
-    if penalty_enabled:  # at the largest n the config runs
-        try:
-            _check_penalty_size(int(max(values["sweep.values"])) if sweep_axis == "n" else n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     prefix_params = lambda prefix: {
         key.split(".", 1)[1]: values[key]
         for key in schema if key.startswith(prefix) and not key.endswith("preset")}
 
-    cfg = RunConfig(
+    return RunConfig(
         a=a, b=b, n=n, s=s,
         obstacle_preset=obstacle_preset,
         obstacle_params=prefix_params("obstacle."),
@@ -295,14 +287,6 @@ def parse_config_text(text: str) -> RunConfig:
         seed=values["seed"],
         echo={k: values[k] for k in sorted(values) if values[k] is not None},
     )
-    # A preset that overflows is a config error; an n-axis sweep evaluates its
-    # presets on each row's grid, so it finds one in that row.
-    if sweep_axis != "n":
-        psi, f = cfg._preset_values(Grid(a=a, b=b, n=n))
-        for family, vector in (("obstacle", psi), ("forcing", f)):
-            if not np.isfinite(vector).all():
-                raise ConfigError(f"{family} values must be finite")
-    return cfg
 
 
 def parse_config(path: str) -> RunConfig:

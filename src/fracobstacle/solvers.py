@@ -521,7 +521,7 @@ def _penalty_setup(op: FracLapOperator, psi_plus: bytes, params: SolverParams):
 
 
 def _check_penalty_size(n: int):
-    """The penalty route's size cap, kept by solve_penalty and by the config parser."""
+    """The penalty route's size cap, kept by solve_penalty and by the CLI before it solves."""
     if n > DENSE_LIMIT:
         raise ValueError(f"penalty solver requires n <= {DENSE_LIMIT}, got {n}")
 

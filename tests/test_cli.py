@@ -200,13 +200,6 @@ CONFIG_ERRORS = {
     "penalty above dense limit": (BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
                                   .replace("method = activeset", "method = penalty"),
                                   "penalty solver requires n <= 512, got 600"),
-    "epsilon axis above dense limit": (BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
-                                       + _SWEEP.format("epsilon", "1e-1, 1e-2"),
-                                       "penalty solver requires n <= 512, got 600"),
-    "penalty n axis above dense limit": (BASE_CONFIG.replace("method = activeset",
-                                                             "method = penalty")
-                                         + _SWEEP.format("n", "8, 520"),
-                                         "penalty solver requires n <= 512, got 520"),
     "infinite solver tol": (BASE_CONFIG + "\nsolver.tol = inf\n",
                             "key 'solver.tol': expected a finite number"),
     "infinite active tol": (BASE_CONFIG + "\nsolver.active_tol = inf\n",
@@ -235,16 +228,36 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
     assert err.startswith("config error: ") and message in err
 
 
-# An operator that over- or underflows shows only when a problem is built:
-# solve exits 2 on it, a sweep records it in the row that builds it.
+# Errors only a sweep meets: its rows take the penalty route, or run an n the
+# config's own grid does not.  solve runs these configs.
+SWEEP_ERRORS = {
+    "epsilon axis above dense limit": (BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
+                                       + _SWEEP.format("epsilon", "1e-1, 1e-2"),
+                                       "penalty solver requires n <= 512, got 600"),
+    "penalty n axis above dense limit": (BASE_CONFIG.replace("method = activeset",
+                                                             "method = penalty")
+                                         + _SWEEP.format("n", "8, 520"),
+                                         "penalty solver requires n <= 512, got 520"),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_ERRORS)
+def test_solve_runs_configs_only_a_sweep_refuses(tmp_path, case):
+    text = SWEEP_ERRORS[case][0]
+    assert main(["solve", "--config", write_config(tmp_path, text)]) == 0
+
+
+# These operators over- or underflow only at the config's own s, which a sweep
+# over the s values below never builds.
 _BUILD_ERRORS = ("overflowing operator", "underflowing operator")
 
 
-@pytest.mark.parametrize("case", [c for c in CONFIG_ERRORS if c not in _BUILD_ERRORS])
+@pytest.mark.parametrize("case", [*(c for c in CONFIG_ERRORS if c not in _BUILD_ERRORS),
+                                  *SWEEP_ERRORS])
 def test_config_errors_exit_2_under_sweep(tmp_path, capsys, case):
-    # The parser decides every error the config alone determines, so a
-    # sweep over a valid axis fails before its first row, as solve does.
-    text, message = CONFIG_ERRORS[case]
+    # A sweep builds and checks every row's problem before it solves any, so
+    # an input error exits 2 with no row written, as solve does.
+    text, message = {**CONFIG_ERRORS, **SWEEP_ERRORS}[case]
     if "sweep.axis" not in text:
         text += _SWEEP.format("s", "0.25, 0.5")
     out = tmp_path / "sweep.csv"
@@ -254,25 +267,18 @@ def test_config_errors_exit_2_under_sweep(tmp_path, capsys, case):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("axis, values, code", [("epsilon", "1e-1, 1e-2", 2),
-                                               ("n", "8, 16", 3)])
-def test_overflowing_preset_under_sweep_prints_no_warning(tmp_path, capsys,
-                                                          axis, values, code):
-    # Off the n axis a preset's values do not depend on the row, so the
-    # parser rejects them once (the s axis is a CONFIG_ERRORS case); on it
-    # each row finds the error in its own.
+@pytest.mark.parametrize("axis, values", [("epsilon", "1e-1, 1e-2"), ("n", "8, 16")])
+def test_overflowing_preset_under_sweep_prints_no_warning(tmp_path, capsys, axis, values):
+    # The s axis is a CONFIG_ERRORS case; on the n axis each row's grid
+    # evaluates the presets, and every row is built before any is solved.
     text = CONFIG_ERRORS["overflowing preset"][0] + _SWEEP.format(axis, values)
     out = tmp_path / "sweep.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = main(["sweep", "--config", write_config(tmp_path, text), "--csv", str(out)])
-    assert got == code and caught == []
-    if code == 2:
-        assert "config error: obstacle values must be finite" in capsys.readouterr().err
-        assert not out.exists()
-    else:
-        statuses = [row["status"] for row in sweep_rows(out)]
-        assert statuses == ["error: obstacle values must be finite"] * 2
+    assert got == 2 and caught == []
+    assert "config error: obstacle values must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _PLATEAU = """
@@ -303,6 +309,40 @@ def test_data_whose_products_overflow_exits_2_without_warning(tmp_path, capsys,
         assert "config error: obstacle and forcing too large" in capsys.readouterr().err
 
 
+def _no_solve(*args, **kwargs):
+    pytest.fail("a row was solved before every row's problem was checked")
+
+
+@pytest.mark.parametrize("text, extra, message", [
+    # --solver penalty is applied after parsing; the sweep still checks the
+    # cap on every row before it solves one.
+    (BASE_CONFIG.replace("grid.n = 8", "grid.n = 600").replace("method = activeset",
+                                                               "method = psor")
+     + _SWEEP.format("s", "0.25, 0.5"),
+     ("--solver", "penalty"), "penalty solver requires n <= 512, got 600"),
+    # One problem for every epsilon, and it fails the data-scale bound.
+    (_PLATEAU.format(n=100, c=1e300) + _SWEEP.format("epsilon", "1e-1, 1e-2"), (),
+     "obstacle and forcing too large"),
+], ids=["solver flag penalty above cap", "epsilon axis data too large"])
+def test_sweep_input_error_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                    text, extra, message):
+    monkeypatch.setattr(fracobstacle.cli, "run_single", _no_solve)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--csv", str(out),
+                 *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+def test_solver_flag_lifts_the_penalty_cap_of_the_configs_method(tmp_path):
+    # The cap belongs to the route that runs, not to solver.method.
+    text = (BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
+            .replace("method = activeset", "method = penalty"))
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--solver", "activeset"]) == 0
+
+
 def _no_build(self, **_):
     pytest.fail("a problem was built before the output path was checked")
 
@@ -326,14 +366,16 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch):
     assert f"output path {path!r} is a directory" in capsys.readouterr().err
 
 
-def test_sweep_row_whose_operator_overflows_records_its_error(tmp_path):
+def test_sweep_whose_row_operator_overflows_exits_2(tmp_path, capsys, monkeypatch):
+    # The s = 0.5 row is valid; the s = 0.9 row's operator overflows, and no
+    # row is solved.
     text = BASE_CONFIG.replace("domain.b = 1.0", "domain.b = 1e-300")
     text += _SWEEP.format("s", "0.5, 0.9")
+    monkeypatch.setattr(fracobstacle.cli, "run_single", _no_solve)
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", write_config(tmp_path, text), "--csv", str(out)]) == 3
-    first, second = sweep_rows(out)
-    assert first["status"] == "ok"
-    assert second["status"].startswith("error: operator diagonal D = inf")
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--csv", str(out)]) == 2
+    assert "config error: operator diagonal D = inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -824,11 +866,17 @@ def test_sweep_n_axis(tmp_path):
         assert cells[gap_idx] == ""  # not applicable off the epsilon axis
 
 
-def test_sweep_error_row_with_comma_round_trips(tmp_path):
-    # At s = 0.9 the operator's diagonal overflows on this domain, and the
-    # row's error names h and s, separated by a comma.
-    text = BASE_CONFIG.replace("domain.b = 1.0", "domain.b = 1e-300")
-    text += _SWEEP.format("s", "0.5, 0.9")
+def test_sweep_error_row_with_comma_round_trips(tmp_path, monkeypatch):
+    # The s = 0.9 row's solve fails with a message that holds commas.
+    solve = solvers.SOLVERS["activeset"]
+
+    def failing(spec, params):
+        if spec.op.s == 0.9:
+            raise solvers.SolverError("active set failed at s = 0.9, n = 8, twice")
+        return solve(spec, params)
+
+    monkeypatch.setitem(solvers.SOLVERS, "activeset", failing)
+    text = BASE_CONFIG + _SWEEP.format("s", "0.5, 0.9")
     cfg = write_config(tmp_path, text)
     path = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", cfg, "--csv", str(path)]) == 3
@@ -837,8 +885,7 @@ def test_sweep_error_row_with_comma_round_trips(tmp_path):
     assert len(header) == len(ok) == len(bad) == 9
     status = header.index("status")
     assert ok[status] == "ok"
-    assert bad[status] == ("error: operator diagonal D = inf is not a positive finite "
-                           "number at h = 1.1111111111111111e-301, s = 0.9")
+    assert bad[status] == "error: active set failed at s = 0.9, n = 8, twice"
     assert path.read_text().count("\n") == 3
 
 
@@ -995,6 +1042,9 @@ GOLDEN_CASES = {
                 "golden_penalty.json"),
     "oracle-check": ("oracle-check", "golden_oracle.cfg", (), "golden_oracle.json"),
     "sweep": ("sweep", "golden_sweep.cfg", (), "golden_sweep.csv"),
+    # The golden_solve.cfg problem on the s and n axes, each row built apart.
+    "sweep-s": ("sweep", "golden_sweep_s.cfg", (), "golden_sweep_s.csv"),
+    "sweep-n": ("sweep", "golden_sweep_n.cfg", (), "golden_sweep_n.csv"),
     # n=300: the FFT matvec, PSOR's column updates and the Picard loop at
     # sizes the n <= 12 goldens above never reach.
     "pg": ("solve", "golden_pg.cfg", ("--solver", "pg"), "golden_pg.json"),

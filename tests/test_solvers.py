@@ -150,8 +150,13 @@ def test_problem_spec_validation():
     op = make_op(n=4)
     with pytest.raises(ValueError):
         ProblemSpec(op, psi=np.zeros(5), f=np.zeros(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="obstacle values must be finite"):
         ProblemSpec(op, psi=np.full(4, np.nan), f=np.zeros(4))
+    # The CLI's only finiteness check on preset values: an overflowing preset
+    # reaches it as an inf.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="forcing values must be finite"):
+            ProblemSpec(op, psi=np.zeros(4), f=np.array([0.0, bad, 0.0, 0.0]))
     spec = ProblemSpec(op, psi=-np.ones(4), f=np.zeros(4))
     assert np.all(spec.default_start() >= spec.psi)
     np.testing.assert_array_equal(spec.default_start(), np.zeros(4))
