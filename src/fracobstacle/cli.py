@@ -387,33 +387,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Obstacle-problem solver and theorem checker for the "
                     "1-D restricted fractional Laplacian.")
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--out": dict(metavar="PATH", help="JSON result path"),
+        "--solver": dict(choices=_SOLVER_METHODS, help="override solver.method"),
+    }
 
-    def common(p):
+    def command(name, summary, *names):
+        """A subcommand taking --config, --seed and the named flags.  sweep
+        reads no seed, but takes --seed so one argument list fits all four."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, metavar="PATH",
                        help="flat key-value config file")
-        p.add_argument("--out", metavar="PATH", help="JSON result path")
         p.add_argument("--seed", type=int, metavar="INT",
                        help="override the config seed")
-        p.add_argument("--solver", choices=_SOLVER_METHODS,
-                       help="override solver.method")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        return p
 
-    p_solve = sub.add_parser("solve", help="solve one obstacle problem")
-    common(p_solve)
-    p_solve.add_argument("--csv", metavar="PATH",
-                         help="also write per-node CSV (x,psi,f,u,r,active)")
-
-    p_verify = sub.add_parser("verify", help="solve and run all theorem checkers")
-    common(p_verify)
-    p_verify.add_argument("--inject-corruption", action="store_true",
-                          help="corrupt the solution before checking (test only)")
-
-    p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
-    common(p_sweep)
-    p_sweep.add_argument("--csv", metavar="PATH", help="CSV output path")
-
-    p_oracle = sub.add_parser("oracle-check",
-                              help="compare all solvers against enumeration")
-    common(p_oracle)
+    command("solve", "solve one obstacle problem", "--out", "--solver").add_argument(
+        "--csv", metavar="PATH", help="also write per-node CSV (x,psi,f,u,r,active)")
+    command("verify", "solve and run all theorem checkers", "--out", "--solver").add_argument(
+        "--inject-corruption", action="store_true",
+        help="corrupt the solution before checking (test only)")
+    command("sweep", "parameter sweep to CSV", "--solver").add_argument(
+        "--csv", metavar="PATH", help="CSV output path")
+    command("oracle-check", "compare all solvers against enumeration", "--out")
     return parser
 
 
@@ -424,16 +422,17 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
             cfg.echo["seed"] = args.seed
-        if args.solver is not None:
+        if getattr(args, "solver", None) is not None:
             cfg.solver_method = args.solver
             cfg.echo["solver.method"] = args.solver
-        if args.out is not None:
-            cfg.output_json = args.out
-        if getattr(args, "csv", None) is not None:
-            cfg.output_csv = args.csv
-        if args.command != "sweep":
+        # A command takes --out or --csv exactly when it writes that output.
+        if hasattr(args, "out"):
+            if args.out is not None:
+                cfg.output_json = args.out
             _check_output_path(cfg.output_json)
-        if args.command in ("solve", "sweep"):
+        if hasattr(args, "csv"):
+            if args.csv is not None:
+                cfg.output_csv = args.csv
             _check_output_path(cfg.output_csv)
 
         if args.command == "sweep":

@@ -63,7 +63,8 @@ def _parse_float_list(raw: str) -> tuple:
 
 
 # key -> (parser, default); _REQUIRED means the key must be present
-# (possibly only when its preset or solver selects it).
+# (possibly only when its preset or solver selects it).  The solver.* and
+# penalty.* defaults are those of SolverParams and PenaltyParams.
 _REQUIRED = object()
 
 _BASE_SCHEMA = {
@@ -74,10 +75,10 @@ _BASE_SCHEMA = {
     "obstacle.preset": (str, _REQUIRED),
     "forcing.preset": (str, "zero"),
     "solver.method": (str, "psor"),
-    "solver.tol": (_parse_float, 1e-10),
-    "solver.max_iter": (_parse_int, 200_000),
-    "solver.relaxation": (_parse_float, 1.5),
-    "solver.active_tol": (_parse_float, 1e-8),
+    "solver.tol": (_parse_float, SolverParams.tol),
+    "solver.max_iter": (_parse_int, SolverParams.max_iter),
+    "solver.relaxation": (_parse_float, SolverParams.relaxation),
+    "solver.active_tol": (_parse_float, SolverParams.active_tol),
     "sweep.axis": (str, None),
     "sweep.values": (_parse_float_list, None),
     "verify.samples": (_parse_int, 200),
@@ -106,9 +107,9 @@ _FORCINGS = {
 }
 
 _PENALTY_SCHEMA = {
-    "penalty.epsilon": (_parse_float, 1e-2),
-    "penalty.damping": (_parse_float, 1.0),
-    "penalty.max_outer": (_parse_int, 500_000),
+    "penalty.epsilon": (_parse_float, PenaltyParams.epsilon),
+    "penalty.damping": (_parse_float, PenaltyParams.picard_damping),
+    "penalty.max_outer": (_parse_int, PenaltyParams.max_outer),
 }
 
 _SOLVER_METHODS = (*SOLVERS, "penalty")
@@ -179,7 +180,7 @@ def parse_config_text(text: str) -> RunConfig:
     obstacle_preset = pairs.get("obstacle.preset")
     if obstacle_preset is None:
         raise ConfigError("missing required key 'obstacle.preset'")
-    forcing_preset = pairs.get("forcing.preset", "zero")
+    forcing_preset = pairs.get("forcing.preset", _BASE_SCHEMA["forcing.preset"][1])
     schema = dict(_BASE_SCHEMA)
     for family, table, preset in (("obstacle", _OBSTACLES, obstacle_preset),
                                   ("forcing", _FORCINGS, forcing_preset)):
@@ -188,7 +189,7 @@ def parse_config_text(text: str) -> RunConfig:
         for name in table[preset][0]:
             parser = _parse_float_list if name == "values" else _parse_float
             schema[f"{family}.{name}"] = (parser, _REQUIRED)
-    solver_method = pairs.get("solver.method", "psor")
+    solver_method = pairs.get("solver.method", _BASE_SCHEMA["solver.method"][1])
     if solver_method not in _SOLVER_METHODS:
         raise ConfigError(
             f"solver.method must be one of {list(_SOLVER_METHODS)}, got {solver_method!r}")

@@ -56,6 +56,14 @@ PCG_MAX_ITER = 20_000
 _LINEAR_TOL = 1e-12
 # Relative residual of the active set's free-block solves above DENSE_LIMIT.
 _FREE_BLOCK_TOL = 1e-15
+# Roundoff factor c of the active set's final gate: once its classification
+# settles, the primal and dual KKT parts, max over all nodes of psi - u and
+# -r, must be at most max(tol, c eps D max(1, ||u||_inf)), eps the machine
+# epsilon.  Over every active-set solve of the verify-512-768 benchmark
+# workload at seeds 3 and 7 (n = 512 and 768; the main solve and the
+# comparison checkers' solves) the parts reached 4.74 eps D max(1, ||u||_inf),
+# so c = 64 leaves a 13x margin.
+_GATE_ROUNDOFF = 64.0
 # Slack K of ProblemSpec's data-scale bound: K n max(1, D) M^2 must be finite,
 # with M = 1 + ||psi||_inf + ||f||_inf / (2 tail(n)).  Varah's bound
 # ||A^{-1}||_inf <= 1 / (2 tail(n)) (row i's margin is tail(i) + tail(n+1-i))
@@ -181,6 +189,8 @@ class Solution:
 
     Invariants at convergence (tol from the producing solver's params):
     u_i >= psi_i - tol, r_i >= -tol, and r_i (u_i - psi_i) <= tol (1 + |r_i|).
+    The active set meets the first two with tol raised to its final gate
+    (see _GATE_ROUNDOFF) and does not test the third.
     """
 
     u: np.ndarray
@@ -437,8 +447,12 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
     nodes out.  _solve_free_block solves each pass's free block, given the
     previous pass as its start.  For M-matrices this terminates in
     finitely many passes (Hintermueller, Ito & Kunisch, 2002).
-    Running out of passes (params.max_iter), a cycle or a failed free-block
-    solve raises IterationLimitError with the iterate of least KKT violation.
+    The classification tests only free nodes for u < psi and active nodes
+    for r < 0, so a settled pass returns only if its primal and dual KKT
+    parts pass the final gate (see _GATE_ROUNDOFF).
+    Running out of passes (params.max_iter), a cycle, a failed free-block
+    solve or a settled pass above the gate raises IterationLimitError with
+    the iterate of least KKT violation.
     """
     params = params or SolverParams()
     op, psi, f = spec.op, spec.psi, spec.f
@@ -462,11 +476,19 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
         r = op.apply(u) - f
         primal_bad = free & (u < psi - eps)
         dual_bad = active & (r < -eps)
-        if not primal_bad.any() and not dual_bad.any():
-            return make_solution(spec, u, it, "active_set", True, params)
+        settled = not primal_bad.any() and not dual_bad.any()
+        if settled:
+            gate = max(params.tol, _GATE_ROUNDOFF * np.finfo(float).eps * op.diag
+                       * max(1.0, float(np.abs(u).max())))
+            if np.maximum(psi - u, -r).max() <= gate:
+                return make_solution(spec, u, it, "active_set", True, params)
         viol, _ = kkt_violation(spec, u, residual=r)
         if viol < best_viol:
             best, best_viol = u, viol
+        if settled:  # the next pass would repeat this one
+            raise _iteration_limit(
+                spec, f"active set settled at pass {it} with a primal or dual KKT "
+                f"part above its gate {gate:.3e}", best, it, "active_set", params)
         active = (active | primal_bad) & ~dual_bad
     passes = len(seen)  # params.max_iter unless an active set came back
     raise _iteration_limit(spec, f"active set did not settle in {passes} passes",

@@ -91,3 +91,22 @@ def count_active_set_calls(monkeypatch):
     for module in (solvers, verify, cli):
         monkeypatch.setattr(module, "solve_active_set", counting_active_set)
     return calls
+
+
+def lower_one_free_value(monkeypatch):
+    """Stub the free-block solve to lower its largest free gap u - psi by
+    1e-9, keeping u >= psi; returns the list of what each pass returns."""
+    iterates = []
+    real = solvers._solve_free_block
+
+    def lowered(op, free, psi, f, start):
+        u = real(op, free, psi, f, start)
+        gap = np.where(free, u - psi, -np.inf)
+        i = int(np.argmax(gap))
+        if gap[i] >= 1e-9:
+            u[i] -= 1e-9
+        iterates.append(u)
+        return u
+
+    monkeypatch.setattr(solvers, "_solve_free_block", lowered)
+    return iterates

@@ -14,7 +14,9 @@ import pytest
 import fracobstacle
 from fracobstacle import (
     IterationLimitError,
+    PenaltyParams,
     ProblemSpec,
+    SolverParams,
     check_kkt,
     reduce_to_zero_forcing,
     solve_psor,
@@ -23,7 +25,7 @@ from fracobstacle import (
 from fracobstacle.cli import _fmt_float, _write_json, dumps, main
 from fracobstacle.config import ConfigError, RunConfig, parse_config_text
 
-from conftest import count_active_set_calls, count_psor_calls
+from conftest import count_active_set_calls, count_psor_calls, lower_one_free_value
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -98,6 +100,12 @@ def test_parse_minimal_config():
     spec = cfg.build_problem()
     x = spec.op.grid.nodes()
     np.testing.assert_allclose(spec.psi, 0.5 - 4.0 * (x - 0.5) ** 2)
+
+
+def test_parse_defaults_are_the_parameter_classes():
+    assert parse_config_text(BASE_CONFIG).solver_params == SolverParams()
+    text = BASE_CONFIG.replace("method = activeset", "method = penalty")
+    assert parse_config_text(text).penalty_params == PenaltyParams()
 
 
 def test_parse_rejects_unknown_key():
@@ -678,6 +686,22 @@ def test_exit_3_when_an_active_set_free_block_solve_fails(tmp_path, capsys, monk
     assert record["error"].startswith("active set pass 2: inner solve gave up (violation ")
 
 
+def test_exit_3_when_the_active_set_settles_above_its_gate(tmp_path, capsys, monkeypatch):
+    # A free value lowered by 1e-9 keeps u >= psi, so the classification
+    # settles, but the final gate sees its residual of about -1e-9 D.
+    iterates = lower_one_free_value(monkeypatch)
+    out = str(tmp_path / "out.json")
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    assert main(["solve", "--config", cfg, "--out", out, "--solver", "activeset"]) == 3
+    assert "solver failure: active set settled at pass" in capsys.readouterr().err
+    record = load_record(out)
+    assert record["solver_id"] == "active_set"
+    assert record["converged"] is False and record["iterations"] == len(iterates)
+    assert record["u"] == iterates[-1].tolist()
+    assert record["reports"] == []
+    assert record["error"].startswith("active set settled at pass")
+
+
 def test_solve_active_set_above_dense_limit(tmp_path):
     text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
     cfg = write_config(tmp_path, text)
@@ -762,6 +786,38 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing --config
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", ["sweep --out {}", "oracle-check --solver pg"])
+def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    # sweep writes only its CSV; oracle-check runs every solver.
+    command, *rest = argv.format(tmp_path / "out.json").split()
+    text = BASE_CONFIG + _SWEEP.format("s", "0.3, 0.5")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", write_config(tmp_path, text), *rest])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(rest)}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+# The flag sets perfbench/workloads.py and perfbench/test_gate.py pass, after
+# --config and --seed, which every command takes.
+@pytest.mark.parametrize("argv, code", [
+    ("verify --out {} --solver activeset", 0),
+    ("verify --out {} --solver psor", 0),
+    ("verify --out {} --inject-corruption", 4),
+    ("solve --out {} --solver pg", 0),
+    ("solve --out {} --solver psor", 0),
+    ("solve --out {} --solver activeset", 0),
+    ("sweep --csv {}", 0),
+    ("oracle-check --out {}", 0),
+])
+def test_benchmark_flag_sets_run(tmp_path, argv, code):
+    out = tmp_path / "out"
+    command, *rest = argv.format(out).split()
+    text = BASE_CONFIG + (_SWEEP.format("epsilon", "0.1, 0.03") if command == "sweep" else "")
+    assert main([command, "--config", write_config(tmp_path, text), "--seed", "3", *rest]) == code
+    assert out.exists()
 
 
 # --- verify ----------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from fracobstacle import (
 
 from fracobstacle.operator import lapack, spd_solve
 
-from conftest import (count_psor_calls, make_op, manufactured_instance, oracle_instance,
-                      random_instance)
+from conftest import (count_psor_calls, lower_one_free_value, make_op,
+                      manufactured_instance, oracle_instance, random_instance)
 
 PARAMS = SolverParams(tol=1e-10)
 
@@ -468,6 +468,86 @@ def test_active_set_iteration_limit_carries_best_iterate():
     best = exc.value.best
     assert not best.converged and best.solver_id == "active_set"
     assert assert_reports_best_violation(exc, spec) > PARAMS.tol
+
+
+@pytest.mark.parametrize("n", [12, 600])  # dense and matrix-free free blocks
+def test_active_set_final_gate_refuses_a_settled_pass_with_negative_free_residual(
+        monkeypatch, n):
+    # The classification tests only active nodes for r < 0: the lowered free
+    # node passes it with r_i about -1e-9 D, and only the gate catches it.
+    iterates = lower_one_free_value(monkeypatch)
+    spec = bump_instance(n, 0.5)
+    with pytest.raises(IterationLimitError, match="settled at pass .* above its gate") as exc:
+        solve_active_set(spec, PARAMS)
+    best = exc.value.best
+    assert not best.converged and best.solver_id == "active_set"
+    assert best.iterations == len(iterates)
+    assert best.u.tobytes() == iterates[-1].tobytes()
+    assert -best.residual.min() > PARAMS.tol
+    assert_reports_best_violation(exc, spec)
+
+
+def test_active_set_final_gate_is_the_larger_of_tol_and_roundoff():
+    spec = bump_instance(512, 0.9)
+    sol = solve_active_set(spec, PARAMS)
+    part = np.maximum(spec.psi - sol.u, -sol.residual).max()
+    roundoff = np.finfo(float).eps * spec.op.diag * max(1.0, np.abs(sol.u).max())
+    assert sol.converged and part <= max(PARAMS.tol, solvers._GATE_ROUNDOFF * roundoff)
+    # A tol far below roundoff is met by the roundoff term alone.
+    assert solve_active_set(spec, SolverParams(tol=1e-300)).u.tobytes() == sol.u.tobytes()
+
+
+def test_active_set_final_gate_scales_with_the_solution():
+    # The plateau at c = 1e100: its dual part is 2.5e86, roundoff of r at
+    # 0.87 eps D ||u||_inf, so the gate passes it.  Its complementarity part
+    # reads about 1.8e100 and is not gated (its 1 + |r| is not scaled).
+    op = make_op(n=100, s=0.5)
+    x = op.grid.nodes()
+    psi = np.where((x >= 0.3) & (x <= 0.7), 1e100, -1e100)
+    spec = ProblemSpec(op, psi, np.zeros(100))
+    sol = solve_active_set(spec, PARAMS)
+    assert sol.converged and -sol.residual.min() > 1e86
+    assert kkt_violation(spec, sol.u, sol.residual)[0] > 1e99
+
+
+def near_obstacle_instance(n, s, delta, released):
+    """A problem whose active set turns on a gap of size delta; returns
+    (spec, its solution).
+
+    f = -0.5, A w = f and psi = w - 1, but at node i = n // 2 + 2.  There
+    (released=False) psi_i = w_i + delta: pass 1 (all free) must make i
+    active, and pass 2 settles.  Or (released=True) psi_j = w_j + 1 at
+    j = n // 2, and psi_i lies delta below v_i, v the solution pinned at j
+    alone: pass 1 makes i and j active, pass 2 pins i with r_i of about
+    -delta D, and pass 3 must release it.
+    """
+    op = make_op(n=n, s=s)
+    f = np.full(n, -0.5)
+    w = solve_linear(op, f)
+    j, i = n // 2, n // 2 + 2
+    psi, free = w - 1.0, np.ones(n, bool)
+    if released:
+        psi[j] = w[j] + 1.0
+        free[j] = False
+        psi[i] = solvers._solve_free_block(op, free, psi, f, psi)[i] - delta
+    else:
+        psi[i] = w[i] + delta
+        free[i] = False
+    return ProblemSpec(op, psi, f), solvers._solve_free_block(op, free, psi, f, psi)
+
+
+@pytest.mark.parametrize("released, delta", [(False, 5e-10), (True, 1e-9)])
+def test_active_set_classifies_a_node_delta_past_the_obstacle(released, delta):
+    # The gap of 5e-10 below psi (pass 1) and the r_i of -1.1e-8 (pass 2)
+    # both exceed the classification slop (about 3e-12) and PARAMS.tol, so
+    # each must change the active set.  A slop of 1e-9 would accept the
+    # gap, a dual test at r < -1e-6 the residual: either settles one pass
+    # early, and the final gate raises.
+    spec, u_star = near_obstacle_instance(12, 0.5, delta, released)
+    sol = solve_active_set(spec, PARAMS)
+    assert sol.converged and sol.iterations == (3 if released else 2)
+    np.testing.assert_allclose(sol.u, u_star, rtol=0, atol=1e-14)
+    assert kkt_violation(spec, sol.u)[0] <= PARAMS.tol
 
 
 @pytest.mark.parametrize("n", [1, 12, 300])
