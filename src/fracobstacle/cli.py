@@ -221,6 +221,7 @@ def _solver_failure(record: dict, exc: SolverError, cfg: RunConfig, spec: Proble
 
 
 def _write_csv(path: str, header, rows):
+    rows = list(rows)  # before open, so a value _fmt_float refuses leaves no file
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -417,22 +418,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    flags = {"seed": args.seed, "solver.method": getattr(args, "solver", None),
+             "output.json": getattr(args, "out", None), "output.csv": getattr(args, "csv", None)}
     try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-            cfg.echo["seed"] = args.seed
-        if getattr(args, "solver", None) is not None:
-            cfg.solver_method = args.solver
-            cfg.echo["solver.method"] = args.solver
+        cfg = parse_config(args.config, {k: v for k, v in flags.items() if v is not None})
         # A command takes --out or --csv exactly when it writes that output.
         if hasattr(args, "out"):
-            if args.out is not None:
-                cfg.output_json = args.out
             _check_output_path(cfg.output_json)
         if hasattr(args, "csv"):
-            if args.csv is not None:
-                cfg.output_csv = args.csv
             _check_output_path(cfg.output_csv)
 
         if args.command == "sweep":

@@ -114,11 +114,14 @@ _PENALTY_SCHEMA = {
 
 _SOLVER_METHODS = (*SOLVERS, "penalty")
 _SWEEP_AXES = ("s", "n", "epsilon")
+# The keys a command-line flag may override (parse_config_text's overrides).
+_OVERRIDABLE = ("seed", "solver.method", "output.json", "output.csv")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Typed view of a parsed configuration plus the raw echo."""
+    """Typed view of a parsed configuration plus the echo of what it records:
+    every setting but the output paths."""
 
     a: float
     b: float
@@ -154,6 +157,13 @@ class RunConfig:
         return ProblemSpec(op=op, psi=psi, f=f)
 
 
+def _check_method(method: str) -> str:
+    if method not in _SOLVER_METHODS:
+        raise ConfigError(
+            f"solver.method must be one of {list(_SOLVER_METHODS)}, got {method!r}")
+    return method
+
+
 def _read_pairs(text: str) -> dict:
     pairs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -172,7 +182,11 @@ def _read_pairs(text: str) -> dict:
     return pairs
 
 
-def parse_config_text(text: str) -> RunConfig:
+def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
+    """Parse and check text; overrides maps keys of _OVERRIDABLE to typed
+    values (the command-line flags) that replace the text's.  The text alone
+    decides which keys are legal and builds the solver parameters, so an
+    overriding solver.method brings no penalty.* key and no PenaltyParams."""
     pairs = _read_pairs(text)
 
     # The schema is assembled in two passes: preset and solver choices
@@ -189,10 +203,8 @@ def parse_config_text(text: str) -> RunConfig:
         for name in table[preset][0]:
             parser = _parse_float_list if name == "values" else _parse_float
             schema[f"{family}.{name}"] = (parser, _REQUIRED)
-    solver_method = pairs.get("solver.method", _BASE_SCHEMA["solver.method"][1])
-    if solver_method not in _SOLVER_METHODS:
-        raise ConfigError(
-            f"solver.method must be one of {list(_SOLVER_METHODS)}, got {solver_method!r}")
+    solver_method = _check_method(pairs.get("solver.method",
+                                            _BASE_SCHEMA["solver.method"][1]))
     sweep_axis = pairs.get("sweep.axis")
     if sweep_axis is not None and sweep_axis not in _SWEEP_AXES:
         raise ConfigError(f"sweep.axis must be one of {list(_SWEEP_AXES)}, got {sweep_axis!r}")
@@ -266,6 +278,11 @@ def parse_config_text(text: str) -> RunConfig:
     elif values["sweep.values"] is not None:
         raise ConfigError("sweep.values given without sweep.axis")
 
+    for key, value in (overrides or {}).items():
+        if key not in _OVERRIDABLE:
+            raise ConfigError(f"{key!r} cannot be overridden")
+        values[key] = _check_method(value) if key == "solver.method" else value
+
     prefix_params = lambda prefix: {
         key.split(".", 1)[1]: values[key]
         for key in schema if key.startswith(prefix) and not key.endswith("preset")}
@@ -276,7 +293,7 @@ def parse_config_text(text: str) -> RunConfig:
         obstacle_params=prefix_params("obstacle."),
         forcing_preset=forcing_preset,
         forcing_params=prefix_params("forcing."),
-        solver_method=solver_method,
+        solver_method=values["solver.method"],
         solver_params=solver_params,
         penalty_params=penalty_params,
         sweep_axis=sweep_axis,
@@ -286,14 +303,15 @@ def parse_config_text(text: str) -> RunConfig:
         output_json=values["output.json"],
         output_csv=values["output.csv"],
         seed=values["seed"],
-        echo={k: values[k] for k in sorted(values) if values[k] is not None},
+        echo={k: values[k] for k in sorted(values)
+              if values[k] is not None and not k.startswith("output.")},
     )
 
 
-def parse_config(path: str) -> RunConfig:
+def parse_config(path: str, overrides: dict | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    return parse_config_text(text)
+    return parse_config_text(text, overrides)

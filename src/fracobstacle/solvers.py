@@ -37,6 +37,7 @@ __all__ = [
     "IterationLimitError",
     "OracleAmbiguityError",
     "kkt_violation",
+    "roundoff_tol",
     "make_solution",
     "solve_linear",
     "reduce_to_zero_forcing",
@@ -56,13 +57,13 @@ PCG_MAX_ITER = 20_000
 _LINEAR_TOL = 1e-12
 # Relative residual of the active set's free-block solves above DENSE_LIMIT.
 _FREE_BLOCK_TOL = 1e-15
-# Roundoff factor c of the active set's final gate: once its classification
-# settles, the primal and dual KKT parts, max over all nodes of psi - u and
-# -r, must be at most max(tol, c eps D max(1, ||u||_inf)), eps the machine
-# epsilon.  Over every active-set solve of the verify-512-768 benchmark
-# workload at seeds 3 and 7 (n = 512 and 768; the main solve and the
-# comparison checkers' solves) the parts reached 4.74 eps D max(1, ||u||_inf),
-# so c = 64 leaves a 13x margin.
+# Roundoff factor c of roundoff_tol, max(tol, c eps D max(1, ||u||_inf)) with
+# eps the machine epsilon: the active set's final gate, the KKT and
+# Lewy-Stampacchia checkers and the oracle's feasibility filter never hold a
+# residual to less.  Over every active-set solve of the verify-512-768
+# benchmark workload at seeds 3 and 7 (n = 512 and 768; the main solve and the
+# comparison checkers' solves) the primal and dual KKT parts reached
+# 4.74 eps D max(1, ||u||_inf), so c = 64 leaves a 13x margin.
 _GATE_ROUNDOFF = 64.0
 # Slack K of ProblemSpec's data-scale bound: K n max(1, D) M^2 must be finite,
 # with M = 1 + ||psi||_inf + ||f||_inf / (2 tail(n)).  Varah's bound
@@ -79,7 +80,8 @@ _GATE_ROUNDOFF = 64.0
 _DATA_SLACK = 256.0
 # Brute-force enumeration is restricted to 2^n candidate active sets.
 ORACLE_MAX_N = 14
-# The oracle keeps candidates with u >= psi and A u - f >= 0 within this.
+# The oracle keeps candidates with u >= psi and A u - f >= 0 within
+# roundoff_tol(op, u, ORACLE_FEAS_TOL).
 ORACLE_FEAS_TOL = 1e-10
 
 
@@ -189,8 +191,8 @@ class Solution:
 
     Invariants at convergence (tol from the producing solver's params):
     u_i >= psi_i - tol, r_i >= -tol, and r_i (u_i - psi_i) <= tol (1 + |r_i|).
-    The active set meets the first two with tol raised to its final gate
-    (see _GATE_ROUNDOFF) and does not test the third.
+    The active set meets the first two with tol raised to its final gate,
+    roundoff_tol(op, u, tol), and does not test the third.
     """
 
     u: np.ndarray
@@ -232,6 +234,13 @@ def kkt_violation(spec: ProblemSpec, u: np.ndarray, residual: np.ndarray | None 
     np.divide(residual * gap, 1.0 + np.abs(residual), out=parts[2])
     k = int(np.argmax(parts))
     return float(parts.flat[k]), k % spec.n
+
+
+def roundoff_tol(op: FracLapOperator, u: np.ndarray, tol: float) -> float:
+    """max(tol, c eps D max(1, ||u||_inf)), c = _GATE_ROUNDOFF: tol, raised to
+    the roundoff of the matvec A u where that is larger."""
+    return max(tol, float(_GATE_ROUNDOFF * np.finfo(float).eps * op.diag
+                          * max(1.0, float(np.abs(u).max()))))
 
 
 def _kkt_met(spec: ProblemSpec, u: np.ndarray, residual: np.ndarray, tol: float) -> bool:
@@ -449,7 +458,7 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
     finitely many passes (Hintermueller, Ito & Kunisch, 2002).
     The classification tests only free nodes for u < psi and active nodes
     for r < 0, so a settled pass returns only if its primal and dual KKT
-    parts pass the final gate (see _GATE_ROUNDOFF).
+    parts pass the final gate, roundoff_tol(op, u, params.tol).
     Running out of passes (params.max_iter), a cycle, a failed free-block
     solve or a settled pass above the gate raises IterationLimitError with
     the iterate of least KKT violation.
@@ -478,8 +487,7 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
         dual_bad = active & (r < -eps)
         settled = not primal_bad.any() and not dual_bad.any()
         if settled:
-            gate = max(params.tol, _GATE_ROUNDOFF * np.finfo(float).eps * op.diag
-                       * max(1.0, float(np.abs(u).max())))
+            gate = roundoff_tol(op, u, params.tol)
             if np.maximum(psi - u, -r).max() <= gate:
                 return make_solution(spec, u, it, "active_set", True, params)
         viol, _ = kkt_violation(spec, u, residual=r)
@@ -644,9 +652,9 @@ def brute_force_oracle(spec: ProblemSpec, params: SolverParams | None = None) ->
 
     For each subset S solve the constrained linear system (u = psi on S,
     A u = f off S) and keep the candidates satisfying u >= psi and
-    A u - f >= 0 within ORACLE_FEAS_TOL.  All surviving candidates must
-    agree on u (subsets differing only in degenerate biactive nodes produce
-    the same vector); zero survivors or several distinct ones raise
+    A u - f >= 0 within roundoff_tol(op, u, ORACLE_FEAS_TOL).  All surviving
+    candidates must agree on u (subsets differing only in degenerate biactive
+    nodes produce the same vector); zero survivors or several distinct ones raise
     OracleAmbiguityError so callers can regenerate the instance.
     """
     params = params or SolverParams()
@@ -667,7 +675,7 @@ def brute_force_oracle(spec: ProblemSpec, params: SolverParams | None = None) ->
             except np.linalg.LinAlgError:
                 continue
         r = A @ u - f
-        if np.all(u >= psi - ORACLE_FEAS_TOL) and np.all(r >= -ORACLE_FEAS_TOL):
+        if np.maximum(psi - u, -r).max() <= roundoff_tol(spec.op, u, ORACLE_FEAS_TOL):
             candidates.append(u)
     if not candidates:
         raise OracleAmbiguityError("no candidate active set satisfies the KKT system")

@@ -29,6 +29,7 @@ from .solvers import (
     ProblemSpec,
     SolverParams,
     kkt_violation,
+    roundoff_tol,
     solve_active_set,
     solve_linear,
 )
@@ -119,8 +120,10 @@ def _worst(check_id: str, viol, tol: float, seed: int = 0, note: str = "",
 
 
 def check_kkt(spec: ProblemSpec, u, tol: float = 1e-8) -> Report:
-    """Feasibility, dual feasibility, and complementarity of an iterate."""
+    """Feasibility, dual feasibility, and complementarity of an iterate,
+    decided against roundoff_tol(op, u, tol), which the Report records."""
     u = spec.op.grid.check_vector(u)
+    tol = roundoff_tol(spec.op, u, tol)
     worst, idx = kkt_violation(spec, u)
     return Report(check_id="kkt", passed=worst <= tol, worst_violation=worst,
                   worst_index_or_sample=idx, samples=spec.n, seed=0, tol=tol)
@@ -131,13 +134,15 @@ def check_lewy_stampacchia(spec: ProblemSpec, u, tol: float = 1e-8) -> Report:
 
     w_f is the obstacle-free solution A w_f = f; the upper bound equals
     (A (psi v w_f) - f)^+, the classical bound with the obstacle lifted to
-    psi v w_f, which leaves the solution unchanged.
+    psi v w_f, which leaves the solution unchanged.  Decided, like check_kkt,
+    against roundoff_tol(op, u, tol).
     """
     u = spec.op.grid.check_vector(u)
     shift = solve_linear(spec.op, spec.f)
     bound = np.maximum(spec.op.apply(np.maximum(spec.psi - shift, 0.0)), 0.0)
     r = spec.op.apply(u) - spec.f
-    return _worst("lewy_stampacchia", np.maximum(-r, r - bound), tol)
+    return _worst("lewy_stampacchia", np.maximum(-r, r - bound),
+                  roundoff_tol(spec.op, u, tol))
 
 
 def check_minty(spec: ProblemSpec, u, samples: int = 200, tol: float = 1e-8,

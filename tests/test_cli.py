@@ -18,6 +18,7 @@ from fracobstacle import (
     ProblemSpec,
     SolverParams,
     check_kkt,
+    cli,
     reduce_to_zero_forcing,
     solve_psor,
     solvers,
@@ -164,6 +165,29 @@ def test_parse_sweep_validation():
         parse_config_text(BASE_CONFIG + "\nsweep.axis = s\n")
     with pytest.raises(ConfigError, match="sweep.axis"):
         parse_config_text(BASE_CONFIG + "\nsweep.values = 0.3, 0.5\n")
+
+
+def test_parse_applies_overrides_after_the_text_decides():
+    # A flag replaces a key's value once the text has decided which keys are
+    # legal and built the solver parameters: --solver penalty on an active-set
+    # config brings no PenaltyParams and no penalty.* key.
+    cfg = parse_config_text(BASE_CONFIG, {"seed": 7, "solver.method": "penalty",
+                                          "output.json": "b.json", "output.csv": "b.csv"})
+    assert (cfg.seed, cfg.solver_method) == (7, "penalty")
+    assert (cfg.output_json, cfg.output_csv) == ("b.json", "b.csv")
+    assert cfg.penalty_params is None
+    assert (cfg.echo["seed"], cfg.echo["solver.method"]) == (7, "penalty")
+    assert not any(key.startswith(("penalty.", "output.")) for key in cfg.echo)
+    with pytest.raises(ConfigError, match="solver.method must be one of"):
+        parse_config_text(BASE_CONFIG, {"solver.method": "newton"})
+    with pytest.raises(ConfigError, match="cannot be overridden"):
+        parse_config_text(BASE_CONFIG, {"grid.n": 9})
+
+
+def test_run_config_is_frozen():
+    cfg = parse_config_text(BASE_CONFIG)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 1
 
 
 def _drop(text, prefix):
@@ -523,6 +547,24 @@ def test_solver_override_flag(tmp_path):
     assert record["config"]["solver.method"] == "psor"
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "oracle-check"])
+def test_record_does_not_depend_on_output_paths(tmp_path, command):
+    # Where a record is written is not what it records: a config that names
+    # its outputs, run with --out elsewhere, writes the record of one that
+    # names none.
+    named = (BASE_CONFIG + f"\noutput.json = {tmp_path / 'a.json'}"
+             f"\noutput.csv = {tmp_path / 'a.csv'}\n")
+    out_named, out_plain = tmp_path / "named.json", tmp_path / "plain.json"
+    assert main([command, "--config", write_config(tmp_path, named, "named.cfg"),
+                 "--out", str(out_named), "--seed", "7"]) == 0
+    assert main([command, "--config", write_config(tmp_path, BASE_CONFIG, "plain.cfg"),
+                 "--out", str(out_plain), "--seed", "7"]) == 0
+    assert not (tmp_path / "a.json").exists()
+    record = strip_timing(load_record(out_named))
+    assert dumps(record) == dumps(strip_timing(load_record(out_plain)))
+    assert record["config"]["seed"] == 7
+
+
 # --- exit codes ----------------------------------------------------------------------
 
 def test_exit_2_on_missing_config(tmp_path):
@@ -724,17 +766,20 @@ def test_exit_3_when_oracle_check_solver_hits_iteration_limit(tmp_path, capsys):
     assert "error" in record
 
 
-# With f = 1e7 the solution is all free, and the roundoff in that candidate's
-# residual (about -7e-9) exceeds the oracle's absolute feasibility tolerance
-# of 1e-10: no candidate survives.
-NO_KKT_POINT = BASE_CONFIG.replace(
-    "obstacle.c = 0.5\nobstacle.d = 4.0", "obstacle.c = 0.4\nobstacle.d = 3.0").replace(
-    "forcing.preset = zero", "forcing.preset = constant\nforcing.c = 1e7")
+def oracle_without_candidates(monkeypatch):
+    """Make the CLI's enumeration oracle hold its candidates to a feasibility
+    tolerance of -1, which none meets; every other solve keeps its own."""
+    def oracle(spec, params):
+        with monkeypatch.context() as patched:
+            patched.setattr(solvers, "roundoff_tol", lambda op, u, tol: -1.0)
+            return solvers.brute_force_oracle(spec, params)
+    monkeypatch.setattr(cli, "brute_force_oracle", oracle)
 
 
 @pytest.mark.parametrize("command", [["oracle-check"], ["verify", "--solver", "activeset"]])
-def test_exit_3_when_the_oracle_finds_no_kkt_point(tmp_path, capsys, command):
-    cfg = write_config(tmp_path, NO_KKT_POINT)
+def test_exit_3_when_the_oracle_finds_no_kkt_point(tmp_path, capsys, monkeypatch, command):
+    oracle_without_candidates(monkeypatch)
+    cfg = write_config(tmp_path, BASE_CONFIG)
     out = str(tmp_path / "out.json")
     assert main([*command, "--config", cfg, "--out", out]) == 3
     assert "solver failure: no candidate active set" in capsys.readouterr().err
@@ -743,14 +788,15 @@ def test_exit_3_when_the_oracle_finds_no_kkt_point(tmp_path, capsys, command):
     assert record["error"] == "no candidate active set satisfies the KKT system"
 
 
-def test_exit_3_oracle_failure_records_psi_plus_as_the_oracle(tmp_path):
+def test_exit_3_oracle_failure_records_psi_plus_as_the_oracle(tmp_path, monkeypatch):
     # The oracle has no iterate to keep, so the record holds psi^+ as an
     # unconverged oracle solution, as a failed main solve without one does.
+    oracle_without_candidates(monkeypatch)
     out = str(tmp_path / "out.json")
-    assert main(["oracle-check", "--config", write_config(tmp_path, NO_KKT_POINT),
+    assert main(["oracle-check", "--config", write_config(tmp_path, BASE_CONFIG),
                  "--out", out]) == 3
     record = load_record(out)
-    spec = parse_config_text(NO_KKT_POINT).build_problem()
+    spec = parse_config_text(BASE_CONFIG).build_problem()
     u = spec.default_start()
     assert record["solver_id"] == "oracle"
     assert record["converged"] is False and record["iterations"] == 0
@@ -972,6 +1018,28 @@ def test_sweep_requires_csv_path(tmp_path):
 
 # --- oracle-check ------------------------------------------------------------------------
 
+def test_oracle_keeps_a_candidate_within_its_roundoff(tmp_path, capsys):
+    # With f = 1e7 the solution is all free, ||u||_inf is 4.7e6 and its
+    # residual's roundoff -7.5e-9: above the oracle's 1e-10, below its floor
+    # 64 eps D ||u||_inf = 7.65e-7.  The oracle finds the active set's
+    # solution; oracle-check still exits 3, because PSOR's absolute stop test
+    # cannot be met on data this large: the complementarity part r (u - psi) /
+    # (1 + |r|) of its KKT violation is not scaled.
+    text = BASE_CONFIG.replace(
+        "obstacle.c = 0.5\nobstacle.d = 4.0", "obstacle.c = 0.4\nobstacle.d = 3.0").replace(
+        "forcing.preset = zero", "forcing.preset = constant\nforcing.c = 1e7")
+    spec = parse_config_text(text).build_problem()
+    exact = solvers.solve_active_set(spec)
+    oracle = solvers.brute_force_oracle(spec)
+    assert np.abs(oracle.u - exact.u).max() <= solvers.roundoff_tol(spec.op, exact.u, 0.0)
+    out = tmp_path / "out.json"
+    assert main(["oracle-check", "--config", write_config(tmp_path, text),
+                 "--out", str(out)]) == 3
+    record = load_record(out)
+    assert record["solver_id"] == "oracle" and record["converged"] is True
+    assert record["error"].startswith("PSOR did not reach tol 1e-10")
+
+
 def test_oracle_check_agreement(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["oracle-check", "--config", cfg]) == 0
@@ -1017,6 +1085,23 @@ def test_nan_verdict_keeps_exit_4_and_writes_its_record(tmp_path, monkeypatch, c
         assert kkt["check_id"] == "kkt" and oracle["check_id"] == "oracle_agreement"
         assert kkt["worst_violation"] is None and not kkt["passed"]
         assert oracle["worst_violation"] is None and not oracle["passed"]
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_non_finite_csv_value_exits_2_and_writes_no_csv(tmp_path, monkeypatch, capsys, command):
+    # The JSON record writes a NaN as null; the CSV writers refuse it before
+    # they open their file.
+    nan_psor(monkeypatch)
+    text = (BASE_CONFIG.replace("method = activeset", "method = psor")
+            + _SWEEP.format("s", "0.3, 0.6"))
+    csv_path, out = tmp_path / "out.csv", tmp_path / "out.json"
+    extra = ["--out", str(out)] if command == "solve" else []
+    assert main([command, "--config", write_config(tmp_path, text),
+                 "--csv", str(csv_path), *extra]) == 2
+    assert capsys.readouterr().err == "config error: cannot serialize non-finite float nan\n"
+    assert not csv_path.exists()
+    if command == "solve":
+        assert load_record(out)["u"] == [None] * 8
 
 
 def test_exit_3_record_of_a_nan_best_iterate_is_written(tmp_path, monkeypatch, capsys):

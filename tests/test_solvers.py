@@ -791,7 +791,8 @@ def test_oracle_rejects_oversized_problem():
 
 
 def test_oracle_ambiguity_error_when_no_candidate_fits(monkeypatch):
-    monkeypatch.setattr(solvers, "ORACLE_FEAS_TOL", -1.0)
+    # a feasibility tolerance of -1, which no candidate meets
+    monkeypatch.setattr(solvers, "roundoff_tol", lambda op, u, tol: -1.0)
     spec = random_instance(110, n=6)
     with pytest.raises(OracleAmbiguityError):
         brute_force_oracle(spec)

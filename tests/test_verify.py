@@ -28,9 +28,10 @@ from fracobstacle import (
 )
 from fracobstacle import cli
 from fracobstacle.config import parse_config_text
+from fracobstacle.solvers import roundoff_tol
 from fracobstacle.verify import _worst
 
-from conftest import make_op, oracle_instance, random_instance
+from conftest import make_op, manufactured_instance, oracle_instance, random_instance
 
 PARAMS = SolverParams(tol=1e-10)
 GOLDEN_VERIFY = (Path(__file__).parent / "data" / "golden_verify.cfg").read_text()
@@ -555,14 +556,13 @@ def test_large_n_active_set_meets_kkt_and_checkers(n, s, c, seed):
     Strang-preconditioned CG; here its solutions meet the solver's KKT tol
     and pass the Lewy-Stampacchia and comparison checkers at their defaults.
 
-    The range stops at s = 0.8 and n = 2048 because the tol is absolute:
-    matvec roundoff grows like D ||u||_inf eps, and at s = 0.9, or at
-    n = 4096 with s >= 0.75, the KKT violation of a correct solution reaches
-    2e-10 to 3e-9.  Those cases wait for scale-aware tolerances.  Even in
-    this range the corner n = 2048, s = 0.8 reads 4e-11 to 9.4e-11, where
-    the FFT matvec's own roundoff (3e-10 against the direct sum) sets the
-    floor; the examples are derandomized so that each run tests the same
-    instances.
+    The KKT and Lewy-Stampacchia checkers raise their tol to the roundoff
+    floor 64 eps D max(1, ||u||_inf) (2.9e-9 at n = 2048, s = 0.8); the
+    comparison checker's tol is still absolute.  The range stops at s = 0.8
+    and n = 2048, where the KKT violation of a correct solution reads 4e-11
+    to 9.4e-11 and the FFT matvec's own roundoff (3e-10 against the direct
+    sum) sets the floor; widening the range is open.
+    The examples are derandomized so that each run tests the same instances.
     """
     rng = np.random.default_rng(seed)
     op = make_op(n=n, s=s)
@@ -578,3 +578,24 @@ def test_large_n_active_set_meets_kkt_and_checkers(n, s, c, seed):
     assert check_lewy_stampacchia(spec, sol.u).passed
     f2 = f - np.abs(rng.normal(size=n)) * 0.5
     assert check_comparison_in_f(spec, sol.u, f2).passed
+
+
+def test_residual_checkers_hold_to_the_roundoff_of_a_large_operator():
+    """At n = 16383, s = 0.9 the active set solves the manufactured instance
+    to 1.3e-14, yet matvec roundoff puts its KKT and Lewy-Stampacchia
+    violations between 1.4e-8 and 1.8e-8, above verify.tol = 1e-8.  Both checks
+    decide against max(tol, 64 eps D max(1, ||u||_inf)) = 3.49e-7 and record
+    it; a u lowered by 1e-6 at one free node, a dual violation of D 1e-6 =
+    25, still fails both."""
+    spec, exact, contact = manufactured_instance(16383, 0.9)
+    u = solve_active_set(spec).u
+    assert np.abs(u - exact).max() <= 1e-12
+    floor = 64.0 * np.finfo(float).eps * spec.op.diag  # ||u||_inf < 1
+    for check in (check_kkt, check_lewy_stampacchia):
+        report = check(spec, u, tol=1e-8)
+        assert report.passed and 1e-8 < report.worst_violation, check.__name__
+        assert report.tol == roundoff_tol(spec.op, u, 1e-8) == pytest.approx(floor)
+    lowered = u.copy()
+    lowered[int(np.flatnonzero(~contact)[0])] -= 1e-6
+    for check in (check_kkt, check_lewy_stampacchia):
+        assert not check(spec, lowered, tol=1e-8).passed, check.__name__
