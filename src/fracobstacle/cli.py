@@ -421,7 +421,7 @@ def main(argv=None) -> int:
     flags = {"seed": args.seed, "solver.method": getattr(args, "solver", None),
              "output.json": getattr(args, "out", None), "output.csv": getattr(args, "csv", None)}
     try:
-        cfg = parse_config(args.config, {k: v for k, v in flags.items() if v is not None})
+        cfg = parse_config(args.config, flags)
         # A command takes --out or --csv exactly when it writes that output.
         if hasattr(args, "out"):
             _check_output_path(cfg.output_json)

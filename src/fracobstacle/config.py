@@ -114,8 +114,6 @@ _PENALTY_SCHEMA = {
 
 _SOLVER_METHODS = (*SOLVERS, "penalty")
 _SWEEP_AXES = ("s", "n", "epsilon")
-# The keys a command-line flag may override (parse_config_text's overrides).
-_OVERRIDABLE = ("seed", "solver.method", "output.json", "output.csv")
 
 
 @dataclass(frozen=True)
@@ -157,13 +155,6 @@ class RunConfig:
         return ProblemSpec(op=op, psi=psi, f=f)
 
 
-def _check_method(method: str) -> str:
-    if method not in _SOLVER_METHODS:
-        raise ConfigError(
-            f"solver.method must be one of {list(_SOLVER_METHODS)}, got {method!r}")
-    return method
-
-
 def _read_pairs(text: str) -> dict:
     pairs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -183,10 +174,11 @@ def _read_pairs(text: str) -> dict:
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
-    """Parse and check text; overrides maps keys of _OVERRIDABLE to typed
-    values (the command-line flags) that replace the text's.  The text alone
-    decides which keys are legal and builds the solver parameters, so an
-    overriding solver.method brings no penalty.* key and no PenaltyParams."""
+    """Parse and check text; overrides maps seed, solver.method, output.json
+    and output.csv to the command-line flags' values, and a value other than
+    None replaces the text's.  The text alone decides which keys are legal and
+    builds the solver parameters, so an overriding solver.method brings no
+    penalty.* key and no PenaltyParams."""
     pairs = _read_pairs(text)
 
     # The schema is assembled in two passes: preset and solver choices
@@ -203,8 +195,10 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
         for name in table[preset][0]:
             parser = _parse_float_list if name == "values" else _parse_float
             schema[f"{family}.{name}"] = (parser, _REQUIRED)
-    solver_method = _check_method(pairs.get("solver.method",
-                                            _BASE_SCHEMA["solver.method"][1]))
+    solver_method = pairs.get("solver.method", _BASE_SCHEMA["solver.method"][1])
+    if solver_method not in _SOLVER_METHODS:
+        raise ConfigError(
+            f"solver.method must be one of {list(_SOLVER_METHODS)}, got {solver_method!r}")
     sweep_axis = pairs.get("sweep.axis")
     if sweep_axis is not None and sweep_axis not in _SWEEP_AXES:
         raise ConfigError(f"sweep.axis must be one of {list(_SWEEP_AXES)}, got {sweep_axis!r}")
@@ -278,10 +272,7 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
     elif values["sweep.values"] is not None:
         raise ConfigError("sweep.values given without sweep.axis")
 
-    for key, value in (overrides or {}).items():
-        if key not in _OVERRIDABLE:
-            raise ConfigError(f"{key!r} cannot be overridden")
-        values[key] = _check_method(value) if key == "solver.method" else value
+    values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
 
     prefix_params = lambda prefix: {
         key.split(".", 1)[1]: values[key]
