@@ -126,7 +126,7 @@ def compare(old, new, tolerances: dict | None = None,
 
     The records match when the second list is empty and every Field is ok.
     """
-    tolerances = dict(tolerances or {})
+    tolerances = tolerances or {}
     leaves, problems = {}, []
     _walk(old, new, "", leaves, problems)
     fields = [_field(name, pairs, tolerances.get(name), name in integers)

@@ -1231,6 +1231,30 @@ def test_golden_record(tmp_path, case):
     assert dumps(produced) == dumps(golden)
 
 
+@pytest.mark.parametrize("bump", [
+    {},  # tests/data's bump, c = 0.4, d = 3
+    {"obstacle.c = 0.4": "obstacle.c = 0.5", "obstacle.d = 3.0": "obstacle.d = 8.0"},  # README's
+])
+def test_projected_gradient_converges_at_s09_n1024(tmp_path, bump):
+    # s = 0.9 at n = 1024: a condition number of about 5e4, where an
+    # unaccelerated projected gradient needs 181602 steps on the first bump
+    # and gives up at max_iter = 200000 on the second
+    text = (DATA_DIR / "golden_pg.cfg").read_text()
+    for old, new in {"grid.n = 300": "grid.n = 1024", "operator.s = 0.5": "operator.s = 0.9",
+                     **bump}.items():
+        text = text.replace(old, new)
+    cfg = write_config(tmp_path, text)
+    records = {}
+    for method in ("pg", "activeset"):
+        out = tmp_path / f"{method}.json"
+        assert main(["solve", "--config", cfg, "--solver", method, "--out", str(out)]) == 0
+        records[method] = load_record(out)
+    pg, exact = records["pg"], records["activeset"]
+    assert pg["converged"] and pg["iterations"] <= 5000
+    assert np.abs(np.subtract(pg["u"], exact["u"])).max() <= 1e-9
+    assert pg["active_set"] == exact["active_set"]
+
+
 def test_solve_summary_line(tmp_path, capsys):
     # The summary reads the energy and the KKT violation of the solve the
     # record holds; its digits are pinned like the record's.

@@ -358,18 +358,26 @@ def test_projected_gradient_trivial_zero():
     np.testing.assert_array_equal(sol.u, np.zeros(10))
 
 
-def test_projected_gradient_energy_descent():
-    # the energies of the real iterates u_0 .. u_K, u_k from the give-up
-    # record of a run with max_iter = k
+def assert_energy_descent(n, steps):
+    # the energies of the real iterates: u_0, then u_k for each k in steps,
+    # from the give-up record of a run with max_iter = k
     params = lambda k: SolverParams(tol=1e-14, max_iter=k)
     for seed in range(5):
-        spec = random_instance(seed + 50)
+        spec = random_instance(seed + 50, n=n)
         energies = [spec.op.energy(spec.default_start(), spec.f)]
-        for k in range(1, 31):
+        for k in steps:
             with pytest.raises(IterationLimitError) as exc:
                 solve_projected_gradient(spec, params(k))
             energies.append(spec.op.energy(exc.value.best.u, spec.f))
         assert np.all(np.diff(energies) <= 1e-12 * (1.0 + abs(energies[0])))
+
+
+def test_projected_gradient_energy_descent():
+    assert_energy_descent(None, range(1, 31))
+
+
+def test_projected_gradient_energy_descent_on_the_fft_path():
+    assert_energy_descent(600, (10, 50, 200))
 
 
 def test_projected_gradient_matches_psor():
@@ -381,14 +389,46 @@ def test_projected_gradient_matches_psor():
         assert_solution_invariants(spec, pg, PARAMS.tol)
 
 
+def mfista_steps(spec, k):
+    """k steps of projected gradient's update, written out operation for
+    operation: the last accepted iterate, and how many steps were rejected
+    and how many restarted."""
+    op, psi, f = spec.op, spec.psi, spec.f
+    eta, eps = 1.0 / op.lambda_max_bound(), np.finfo(float).eps
+    x = spec.default_start()
+    ax = op.apply(x)
+    jx = 0.5 * np.dot(x, ax) - np.dot(f, x)
+    y, ay, t = x, ax, 1.0
+    rejected = restarted = 0
+    for _ in range(k):
+        z = np.maximum(psi, y - eta * (ay - f))
+        az = op.apply(z)
+        quad, lin = 0.5 * np.dot(z, az), np.dot(f, z)
+        restart = np.dot(y - z, z - x) > 0.0
+        x_old, ax_old = x, ax
+        if quad - lin <= jx + eps * (abs(quad) + abs(lin)):
+            x, ax, jx = z, az, quad - lin
+        else:
+            rejected += 1
+        if restart:
+            y, ay, t = x, ax, 1.0
+            restarted += 1
+            continue
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        a, b = t / t_next, (t - 1.0) / t_next
+        y = x + a * (z - x) + b * (x - x_old)
+        ay = ax + a * (az - ax) + b * (ax - ax_old)
+        t = t_next
+    return x, rejected, restarted
+
+
 @pytest.mark.parametrize("k", [1, 5, 50])
 def test_projected_gradient_iteration_limit_carries_last_checked_iterate(k):
-    # the failure record is u_k, the iterate the k-th stop test judged
+    # the failure record is the last accepted iterate, the one the stop test
+    # judged last; by k = 50 the run has restarted and rejected a step
     spec = random_instance(61, n=10)
-    eta = 1.0 / spec.op.lambda_max_bound()
-    u = spec.default_start()
-    for _ in range(k):
-        u = np.maximum(spec.psi, u - eta * (spec.op.apply(u) - spec.f))
+    u, rejected, restarted = mfista_steps(spec, k)
+    assert k < 50 or (rejected and restarted)
     with pytest.raises(IterationLimitError) as exc:
         solve_projected_gradient(spec, SolverParams(tol=1e-14, max_iter=k))
     best = exc.value.best
