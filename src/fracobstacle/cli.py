@@ -336,7 +336,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         _check_penalty_size(max(spec.n for spec in specs))
     rows = []
     for value in values:
-        spec = specs.pop(0)  # released with its row, a penalty row's Cholesky factor too
+        spec = specs.pop(0)  # released with its row, its operator's caches too
         row = {c: "" for c in SWEEP_COLUMNS}
         row["axis"], row["value"] = axis, value
         pparams = cfg.penalty_params

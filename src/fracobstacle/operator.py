@@ -27,11 +27,8 @@ irregularity is modeled.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from math import gamma, inf, pi, sqrt
 
 import numpy as np
@@ -39,77 +36,73 @@ import numpy as np
 __all__ = [
     "Grid",
     "FracLapOperator",
+    "SolverError",
+    "IterationLimitError",
     "kernel_constant",
     "assemble_operator",
-    "lapack",
-    "cholesky_upper",
-    "cho_solve",
-    "spd_solve",
 ]
 
-# Matvecs switch to the circulant-embedding FFT path from this size on.
-_FFT_MIN_N = 256
+# Iteration budget of each preconditioned conjugate-gradient solve.
+PCG_MAX_ITER = 20_000
+# Relative residual of each preconditioned conjugate-gradient solve: the
+# inverse generators' and the active set's free blocks'.
+PCG_TOL = 1e-15
 
 
-@cache
-def lapack():
-    """scipy's LAPACK extension module (scipy/linalg/_flapack), loaded once.
+class SolverError(RuntimeError):
+    """A solver could not produce a solution meeting its contract."""
 
-    The extension is loaded from its file, so scipy/linalg/__init__.py and
-    the imports it pulls in (numpy.f2py and numpy.testing among them) are
-    not run.  The routines are the ones scipy.linalg calls, so they give
-    its bits.  Raises ImportError when the file is missing.
+
+class IterationLimitError(SolverError):
+    """Solver hit its iteration budget; best is its best Solution, or the last
+    iterate (an array) of a conjugate-gradient solve."""
+
+    def __init__(self, message: str, best):
+        super().__init__(message)
+        self.best = best
+
+
+def _pcg(matvec, precondition, b: np.ndarray, x0: np.ndarray | None,
+         tol: float, max_iter: int) -> np.ndarray:
+    """Preconditioned conjugate gradients for an SPD system M x = b.
+
+    Stops once the recursively updated residual satisfies
+    ||b - M x||_2 <= tol ||b||_2.  Starts from x0 when that beats x = 0
+    (||b - M x0|| < ||b||), else from 0, and iterates on the system scaled
+    by max|b|, so that tiny or huge data neither underflow nor overflow.
+    Raises IterationLimitError, with the last iterate as its best, after
+    max_iter iterations.
     """
-    scipy = importlib.util.find_spec("scipy")
-    dirs = [os.path.join(d, "linalg")
-            for d in (scipy and scipy.submodule_search_locations) or ()]
-    spec = importlib.machinery.PathFinder.find_spec("_flapack", dirs)
-    if spec is None:
-        raise ImportError(f"scipy's LAPACK extension _flapack not found in {dirs}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def cholesky_upper(a: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of a symmetric a by LAPACK dpotrf, called as
-    scipy.linalg.cho_factor calls it (the lower triangle is left as is).
-
-    Raises LinAlgError when a is not positive definite.
-    """
-    c, info = lapack().dpotrf(a, lower=0, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
-    return c
-
-
-def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with a x = b from the upper Cholesky factor c of a: LAPACK dpotrs as
-    scipy.linalg.cho_solve((c, False), b) calls it; b is not overwritten."""
-    x, info = lapack().dpotrs(c, b, lower=0)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
-    return x
-
-
-def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with a x = b for a principal block a of A, bit for bit what
-    scipy.linalg.solve(a, b, assume_a="pos") returns (b / a when 1 x 1).
-
-    scipy's rcond check is left out: by Varah's bound every such block has
-    rcond >= 1 / (2 (2n-1)^{2s}) > 1 / (8 n^2).  Raises ValueError for a
-    non-finite b and LinAlgError when a is not positive definite.
-    """
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
-    if a.shape == (1, 1):
-        if a[0, 0] == 0.0:
-            raise np.linalg.LinAlgError("A singular matrix detected.")
-        return b / a[0, 0]
-    return cho_solve(cholesky_upper(a), b)
+    if not b.any():
+        return np.zeros_like(b)
+    scale = np.abs(b).max()
+    b = b / scale
+    x, r = np.zeros_like(b), b.copy()
+    if x0 is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = x0 / scale
+            ry = b - matvec(y)
+            if np.linalg.norm(ry) < np.linalg.norm(b):
+                x, r = y, ry
+    stop = tol * np.linalg.norm(b)
+    for it in range(max_iter + 1):
+        if np.linalg.norm(r) <= stop:
+            return x * scale
+        if it == max_iter:
+            break
+        z = precondition(r)
+        if it:
+            rz, rz_old = np.dot(r, z), rz
+            p = z + (rz / rz_old) * p
+        else:
+            p, rz = z, np.dot(r, z)
+        q = matvec(p)
+        alpha = rz / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+    raise IterationLimitError(
+        f"preconditioned conjugate gradients did not reach relative residual "
+        f"{tol:g} within {max_iter} iterations", best=x * scale)
 
 
 @dataclass(frozen=True)
@@ -181,10 +174,11 @@ class FracLapOperator:
     (the exterior mass).  Instances are immutable after assembly and safely
     shareable across threads; apply/energy are pure and reentrant.
 
-    The stencil behind column() and block(), the FFT symbol, the Strang
-    circulant symbol behind strang_solve() and the Cholesky factor are
+    The stencil behind column() and dense(), the FFT symbol, the Strang
+    circulant symbol behind strang_solve() and the inverse generators are
     cached on first use; threads racing on a first use compute identical
-    values, so sharing stays safe.
+    values, so sharing stays safe.  dense(), the oracles' O(n^2) matrix, is
+    built anew on each call.
     """
 
     grid: Grid
@@ -240,62 +234,47 @@ class FracLapOperator:
 
         v may be a (k, n) stack; the FFT runs along its last axis, and each
         row gets the bits of its own call.  C approximates A closely enough
-        that the preconditioned conjugate gradients of solve_linear take
-        6-13 iterations on A w = 1 for n up to 16384 and s in [0.05, 0.95].
+        that preconditioned conjugate gradients take 6-13 iterations on
+        A w = 1 for n up to 16384 and s in [0.05, 0.95].
         """
         v = self.grid.check_vectors(v)
         return np.fft.irfft(np.fft.rfft(v) / self.strang_symbol, self.grid.n)
 
     @cached_property
-    def cholesky(self) -> np.ndarray:
-        """Upper Cholesky factor of dense(), read-only, with the bits of
-        scipy.linalg.cho_factor(dense())[0]; O(n^2) memory.  Raises
-        ValueError for a non-finite matrix, as cho_factor does."""
-        a = self.dense()
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
-        c = cholesky_upper(a)
-        c.flags.writeable = False
-        return c
+    def inverse_generators(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(x_0, rfft(x, 2n), rfft(Z J x, 2n)), read-only, with x = A^{-1} e_0.
 
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """A[np.ix_(rows, cols)] for boolean masks, C-ordered, gathered from
-        a strided view of the stencil whose row i is column(i) (A is
-        symmetric); no index array of the block's size is built."""
+        x is the first column of A^{-1}, J reverses and Z shifts down one
+        place.  A is symmetric Toeplitz, so these fix its inverse (Gohberg &
+        Semencul 1972):
+
+            A^{-1} = (L(x) L(x)^T - L(ZJx) L(ZJx)^T) / x_0,
+
+        L(v) the lower triangular Toeplitz matrix with first column v.  x
+        comes from conjugate gradients preconditioned by the Strang
+        circulant, to relative residual PCG_TOL.
+        """
         n = self.grid.n
-        view = np.lib.stride_tricks.sliding_window_view(self._stencil, n)[::-1]
-        return view[np.ix_(rows, cols)]
+        e0 = np.zeros(n)
+        e0[0] = 1.0
+        x = _pcg(self.apply, self.strang_solve, e0, None, PCG_TOL, PCG_MAX_ITER)
+        zy = np.concatenate([[0.0], x[:0:-1]])
+        gx, gy = np.fft.rfft(x, 2 * n), np.fft.rfft(zy, 2 * n)
+        gx.flags.writeable = gy.flags.writeable = False
+        return float(x[0]), gx, gy
 
     def dense(self) -> np.ndarray:
-        """Full matrix, block(all, all); O(n^2) memory."""
-        every = np.ones(self.grid.n, dtype=bool)
-        return self.block(every, every)
+        """Full matrix, C-ordered, gathered from a strided view of the
+        stencil whose row i is column(i) (A is symmetric); O(n^2) memory."""
+        n = self.grid.n
+        return np.lib.stride_tricks.sliding_window_view(self._stencil, n)[::-1].copy()
 
     def apply(self, v) -> np.ndarray:
-        """Matvec A v, or A v_j for each row of a (k, n) stack.
-
-        Uses the direct Toeplitz sum below _FFT_MIN_N and circulant-embedding
-        FFT from it on; the two agree to 1e-12 relative.  A stack takes one
-        FFT along its last axis (the direct sum loops over its rows), and
-        each row gets the bits of its own call.
+        """Matvec A v, or A v_j for each row of a (k, n) stack: the circulant
+        embedding of A, one length-2n FFT pair along the last axis.  Each row
+        of a stack gets the bits of its own call.
         """
         v = self.grid.check_vectors(v)
-        if self.grid.n >= _FFT_MIN_N:
-            return self._apply_fft(v)
-        if v.ndim == 1:
-            return self._apply_direct(v)
-        return np.array([self._apply_direct(x) for x in v]).reshape(v.shape)
-
-    def _apply_direct(self, v: np.ndarray) -> np.ndarray:
-        n = self.grid.n
-        if n == 1:
-            return self.diag * v
-        w = self.weights
-        kern = np.concatenate([w[::-1], [0.0], w])
-        offdiag = np.convolve(v, kern)[n - 1 : 2 * n - 1]
-        return self.diag * v - offdiag
-
-    def _apply_fft(self, v: np.ndarray) -> np.ndarray:
         n = self.grid.n
         vhat = np.fft.rfft(v, 2 * n)
         return np.fft.irfft(self._circulant_symbol * vhat, 2 * n)[..., :n]

@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operator import FracLapOperator, cho_solve, spd_solve
+from .operator import (PCG_MAX_ITER, PCG_TOL, FracLapOperator, IterationLimitError,
+                       SolverError, _pcg)
 
 __all__ = [
     "ProblemSpec",
@@ -49,14 +50,8 @@ __all__ = [
     "SOLVERS",
 ]
 
-# Linear systems up to this size are solved by dense factorization.
-DENSE_LIMIT = 512
-# Iteration budget of each preconditioned conjugate-gradient solve.
-PCG_MAX_ITER = 20_000
-# Relative residual of solve_linear's conjugate gradients above DENSE_LIMIT.
-_LINEAR_TOL = 1e-12
-# Relative residual of the active set's free-block solves above DENSE_LIMIT.
-_FREE_BLOCK_TOL = 1e-15
+# The penalty route's size cap (see _check_penalty_size).
+PENALTY_MAX_N = 512
 # Roundoff factor c of roundoff_tol, max(tol, c eps D max(1, ||u||_inf)) with
 # eps the machine epsilon: the active set's final gate, the KKT and
 # Lewy-Stampacchia checkers and the oracle's feasibility filter never hold a
@@ -83,18 +78,6 @@ ORACLE_MAX_N = 14
 # The oracle keeps candidates with u >= psi and A u - f >= 0 within
 # roundoff_tol(op, u, ORACLE_FEAS_TOL).
 ORACLE_FEAS_TOL = 1e-10
-
-
-class SolverError(RuntimeError):
-    """A solver could not produce a solution meeting its contract."""
-
-
-class IterationLimitError(SolverError):
-    """Solver hit its iteration budget; best is its best Solution (an array from solve_linear)."""
-
-    def __init__(self, message: str, best):
-        super().__init__(message)
-        self.best = best
 
 
 class OracleAmbiguityError(SolverError):
@@ -273,79 +256,29 @@ def _iteration_limit(spec: ProblemSpec, message: str, u, iterations: int,
     return IterationLimitError(f"{message} (violation {viol:.3e})", best)
 
 
-def _pcg(matvec, precondition, b: np.ndarray, x0: np.ndarray | None,
-         tol: float, max_iter: int) -> np.ndarray:
-    """Preconditioned conjugate gradients for SPD systems M x = b.
-
-    b is one right-hand side or a (k, m) stack of them, and the result has
-    its shape; matvec and precondition map (k, m) stacks row by row.  Each
-    row stops once its recursively updated residual satisfies
-    ||b - M x||_2 <= tol ||b||_2, and is frozen from then on.  It starts
-    from its row of x0 when that beats x = 0 (||b - M x0|| < ||b||), else
-    from 0, and iterates on its system scaled by max|b|, so that tiny or
-    huge data neither underflow nor overflow.  Every row has its own scale,
-    start, step lengths and budget of max_iter iterations, and so gets the
-    bits of its own call.
-    """
-    shape, rows = b.shape, np.atleast_2d(b)
-    out = np.zeros_like(rows)
-    live = np.flatnonzero(rows.any(axis=1))  # the rows not yet converged
-    scale = np.abs(rows[live]).max(axis=1, keepdims=True)
-    b = rows[live] / scale
-    x, r = np.zeros_like(b), b.copy()
-    if x0 is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = np.atleast_2d(x0)[live] / scale
-            ry = b - matvec(y)
-            warm = np.sqrt(np.vecdot(ry, ry)) < np.sqrt(np.vecdot(b, b))
-        x[warm], r[warm] = y[warm], ry[warm]
-    stop = tol * np.sqrt(np.vecdot(b, b))
-    for it in range(max_iter + 1):
-        done = np.sqrt(np.vecdot(r, r)) <= stop
-        if done.any():
-            out[live[done]] = x[done] * scale[done]
-            keep = ~done
-            live, scale, stop, x, r = live[keep], scale[keep], stop[keep], x[keep], r[keep]
-            if it:
-                p, rz = p[keep], rz[keep]
-        if not live.size or it == max_iter:
-            break
-        z = precondition(r)
-        if it:
-            rz, rz_old = np.vecdot(r, z), rz
-            p = z + (rz / rz_old)[:, None] * p
-        else:
-            p, rz = z, np.vecdot(r, z)
-        q = matvec(p)
-        alpha = (rz / np.vecdot(p, q))[:, None]
-        x += alpha * p
-        r -= alpha * q
-    if live.size:
-        out[live] = x * scale
-        raise IterationLimitError(
-            f"preconditioned conjugate gradients did not reach relative residual "
-            f"{tol:g} within {max_iter} iterations", best=out.reshape(shape))
-    return out.reshape(shape)
-
-
 def solve_linear(op: FracLapOperator, f) -> np.ndarray:
     """Solve A w = f (the obstacle-free problem), or A w_j = f_j for each
     row of a (k, n) stack.
 
-    For n <= DENSE_LIMIT this is cho_solve with the operator's cached
-    Cholesky factor, one LAPACK dpotrs for a whole stack.  Above, conjugate
-    gradients preconditioned by the Strang circulant (op.strang_solve) run
-    on FFT matvecs to relative residual _LINEAR_TOL, each row of a stack on
-    its own (see _pcg).  Each row of a stack gets the bits of its own call.
-    Since A^{-1} is entrywise positive, f >= 0 implies w >= 0 (discrete
-    weak maximum principle).
+    w = (L(x) L(x)^T f - L(y) L(y)^T f) / x_0 with the Gohberg-Semencul
+    generators x and y = ZJx of op.inverse_generators.  Each product with a
+    triangular Toeplitz factor is one length-2n FFT pair along the last
+    axis, so each row of a stack gets the bits of its own call.  The first
+    call on an operator computes its generators, and raises
+    IterationLimitError if their conjugate gradients give up.  Since A^{-1}
+    is entrywise positive, f >= 0 implies w >= 0 (discrete weak maximum
+    principle).
     """
     f = op.grid.check_vectors(f)
     if not np.isfinite(f).all():
         raise ValueError("right-hand side must be finite")
-    if op.grid.n <= DENSE_LIMIT:
-        return cho_solve(op.cholesky, f.T).T  # columns are right-hand sides
-    return _pcg(op.apply, op.strang_solve, f, None, _LINEAR_TOL, PCG_MAX_ITER)
+    n = op.grid.n
+    x0, gx, gy = op.inverse_generators
+    fhat = np.fft.rfft(f, 2 * n)
+    # L(v)^T f is the correlation of v with f: conj(rfft(v)) rfft(f).
+    tx = np.fft.rfft(np.fft.irfft(gx.conj() * fhat, 2 * n)[..., :n], 2 * n)
+    ty = np.fft.rfft(np.fft.irfft(gy.conj() * fhat, 2 * n)[..., :n], 2 * n)
+    return np.fft.irfft(gx * tx - gy * ty, 2 * n)[..., :n] / x0
 
 
 def reduce_to_zero_forcing(spec: ProblemSpec) -> ZeroForcingReduction:
@@ -446,27 +379,22 @@ def _solve_free_block(op: FracLapOperator, free: np.ndarray, psi: np.ndarray,
                       f: np.ndarray, start: np.ndarray) -> np.ndarray:
     """The active-set pass iterate: u = psi off F, A_FF u_F = f_F - A_FS psi_S on F.
 
-    Up to DENSE_LIMIT, op.block gathers both blocks for spd_solve.  Above,
-    Strang-preconditioned CG on zero-extended FFT matvecs runs to
-    _FREE_BLOCK_TOL, warm-started at start_F.
+    Conjugate gradients preconditioned by the restricted Strang circulant,
+    on zero-extended FFT matvecs, run to PCG_TOL, warm-started at start_F.
     """
     u = psi.copy()
     if not free.any():
         return u
-    if op.grid.n <= DENSE_LIMIT:
-        rhs = f[free] - op.block(free, ~free) @ psi[~free]
-        u[free] = spd_solve(op.block(free, free), rhs)
-        return u
 
-    def extend(x):  # a (k, |F|) stack to (k, n)
-        y = np.zeros((len(x), op.grid.n))
-        y[:, free] = x
+    def extend(x):  # a vector on F to the grid, zero off F
+        y = np.zeros(op.grid.n)
+        y[free] = x
         return y
 
     rhs = (f - op.apply(np.where(free, 0.0, psi)))[free]
-    u[free] = _pcg(lambda x: op.apply(extend(x))[:, free],
-                   lambda r: op.strang_solve(extend(r))[:, free],
-                   rhs, start[free], _FREE_BLOCK_TOL, PCG_MAX_ITER)
+    u[free] = _pcg(lambda x: op.apply(extend(x))[free],
+                   lambda r: op.strang_solve(extend(r))[free],
+                   rhs, start[free], PCG_TOL, PCG_MAX_ITER)
     return u
 
 
@@ -574,8 +502,8 @@ def _penalty_setup(op: FracLapOperator, psi_plus: bytes, params: SolverParams):
 
 def _check_penalty_size(n: int):
     """The penalty route's size cap, kept by solve_penalty and by the CLI before it solves."""
-    if n > DENSE_LIMIT:
-        raise ValueError(f"penalty solver requires n <= {DENSE_LIMIT}, got {n}")
+    if n > PENALTY_MAX_N:
+        raise ValueError(f"penalty solver requires n <= {PENALTY_MAX_N}, got {n}")
 
 
 def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None,

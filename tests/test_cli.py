@@ -63,33 +63,10 @@ def strip_timing(record):
     return record
 
 
-def run_python(code, *args):
-    env = dict(os.environ, PYTHONPATH=str(Path(fracobstacle.__file__).parents[1]))
+def run_python(code, *args, **env):
+    env = dict(os.environ, PYTHONPATH=str(Path(fracobstacle.__file__).parents[1]), **env)
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True).stdout
-
-
-def test_cli_import_leaves_out_scipy_special():
-    # math.gamma serves the kernel constant, and LAPACK comes from scipy's
-    # _flapack extension (operator.lapack); both packages cost import time.
-    code = ("import sys, fracobstacle.cli; "
-            "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)")
-    assert run_python(code).strip() == "False False"
-
-
-def test_lapack_seam_bits_survive_scipy_linalg_import():
-    # Importing scipy.linalg after the seam loads _flapack a second time,
-    # as scipy.linalg._flapack; both copies give the same dpotrs bits.
-    code = ("import numpy as np; from fracobstacle import Grid, assemble_operator; "
-            "from fracobstacle.operator import lapack; "
-            "op = assemble_operator(Grid(0.0, 1.0, 300), 0.9); c = op.cholesky; "
-            "f = np.random.default_rng(3).normal(size=300); "
-            "before = lapack().dpotrs(c, f, lower=0)[0].tobytes(); "
-            "import scipy.linalg, scipy.linalg.lapack; "
-            "print(lapack().dpotrs(c, f, lower=0)[0].tobytes() == before, "
-            "scipy.linalg.lapack.dpotrs(c, f, lower=0)[0].tobytes() == before, "
-            "scipy.linalg.cho_solve((c, False), f).tobytes() == before)")
-    assert run_python(code).strip() == "True True True"
 
 
 # --- config parsing ----------------------------------------------------------------
@@ -696,8 +673,8 @@ def test_exit_3_penalty_picard_records_its_warm_start_on_the_real_problem(tmp_pa
 
 
 def test_exit_3_when_an_active_set_free_block_solve_fails(tmp_path, capsys, monkeypatch):
-    # Above DENSE_LIMIT the second pass's free-block solve runs out of its
-    # budget; the record holds pass 1's iterate as an unconverged active set.
+    # The second pass's free-block solve runs out of its budget; the record
+    # holds pass 1's iterate as an unconverged active set.
     text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 600").replace(
         "forcing.preset = zero", "forcing.preset = constant\nforcing.c = -0.5")
     run = parse_config_text(text)
@@ -1188,7 +1165,7 @@ GOLDEN_CASES = {
     # sizes the n <= 12 goldens above never reach.
     "pg": ("solve", "golden_pg.cfg", ("--solver", "pg"), "golden_pg.json"),
     "sweep-fft": ("sweep", "golden_sweep_fft.cfg", (), "golden_sweep_fft.csv"),
-    # n=600: projected gradient above DENSE_LIMIT; n=300: the dense active
+    # n=600: projected gradient on a second FFT length; n=300: the active
     # set in the main solve and in every checker.
     "pg-600": ("solve", "golden_pg_600.cfg", ("--solver", "pg"), "golden_pg_600.json"),
     "verify-activeset-300": ("verify", "golden_pg.cfg", ("--solver", "activeset"),
@@ -1199,19 +1176,36 @@ GOLDEN_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", ["pg-600", "verify-activeset-300", "sweep-fft",
-                                  "verify", "penalty", "oracle-check"])
-def test_cli_run_leaves_out_scipy_linalg(tmp_path, case):
-    # LAPACK comes from scipy's _flapack extension, loaded from its file;
-    # scipy/linalg/__init__.py and its imports stay out of every run, with
-    # (n <= 512) or without (pg-600) a dense path.
+def golden_args(tmp_path, case):
+    """The command line of a golden case, writing into tmp_path."""
     command, cfg_name, extra, golden_name = GOLDEN_CASES[case]
     out_flag = "--csv" if golden_name.endswith(".csv") else "--out"
-    args = [command, "--config", str(DATA_DIR / cfg_name),
-            out_flag, str(tmp_path / golden_name), *extra]
+    return [command, "--config", str(DATA_DIR / cfg_name), *extra,
+            out_flag, str(tmp_path / golden_name)]
+
+
+@pytest.mark.parametrize("case", ["pg-600", "verify-activeset-300", "sweep-fft",
+                                  "verify", "penalty", "oracle-check"])
+def test_cli_run_imports_no_scipy(tmp_path, case):
+    # The package needs numpy alone: no run imports a scipy module, and
+    # math.gamma serves the kernel constant.
     code = ("import sys; from fracobstacle.cli import main; code = main(sys.argv[1:]); "
-            "print(code, 'scipy.linalg' in sys.modules)")
-    assert run_python(code, *args).splitlines()[-1] == "0 False"
+            "print(code, [m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
+    assert run_python(code, *golden_args(tmp_path, case)).splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("case", ["sweep-fft", "verify-activeset-300"])
+def test_golden_record_at_one_blas_thread(tmp_path, case):
+    # The n=300 goldens in a fresh process started with one BLAS thread:
+    # no result may depend on the thread count.
+    code = "import sys; from fracobstacle.cli import main; print(main(sys.argv[1:]))"
+    args = golden_args(tmp_path, case)
+    env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    assert run_python(code, *args, **env).splitlines()[-1] == "0"
+    out, golden = Path(args[-1]).read_text(), (DATA_DIR / GOLDEN_CASES[case][3]).read_text()
+    if args[-2] == "--out":
+        out, golden = (dumps(strip_timing(json.loads(text))) for text in (out, golden))
+    assert out == golden
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_CASES))
@@ -1262,4 +1256,4 @@ def test_solve_summary_line(tmp_path, capsys):
     assert main(["solve", "--config", cfg]) == 0
     assert capsys.readouterr().out == (
         "solved: n=6 s=0.5 solver=active_set iterations=3 energy=0.193650223 "
-        "kkt_violation=6.162e-18\n")
+        "kkt_violation=1.110e-16\n")

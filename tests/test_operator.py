@@ -1,14 +1,11 @@
-import importlib.machinery
 import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracobstacle import Grid, assemble_operator, kernel_constant, solve_linear
-from fracobstacle.operator import _FFT_MIN_N, lapack
 
 from conftest import make_op
 
@@ -162,14 +159,16 @@ def test_assembly_rejects_operator_that_over_or_underflows(b, diag):
 
 
 def test_fft_path_agrees_with_direct_sum():
+    # The FFT matvec at every n against the dense product, down to n = 1
+    # (a length-2 FFT).
     rng = np.random.default_rng(1)
-    for n in (64, _FFT_MIN_N, 400):
+    for n in (1, 2, 12, 64, 255, 256):
         op = make_op(n=n, s=0.7)
+        A = op.dense()
         for _ in range(5):
             v = rng.normal(size=n)
-            direct = op._apply_direct(v)
-            fast = op._apply_fft(v)
-            assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max()
+            direct = A @ v
+            assert np.abs(op.apply(v) - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 def test_apply_matches_principal_value_integral_on_quadratic():
@@ -357,28 +356,3 @@ def test_level_truncation_energy_inequality():
         lhs = op.bilinear(vm, vm)
         rhs = op.bilinear(v, v) - op.bilinear(excess, excess)
         assert lhs <= rhs + 1e-11 * (1.0 + abs(rhs))
-
-
-@pytest.mark.parametrize("n", [1, 12, 128, 300, 512])
-def test_cholesky_matches_cho_factor_bit_for_bit(n):
-    op = make_op(n=n, s=0.9)
-    c = op.cholesky
-    want, want_lower = scipy.linalg.cho_factor(op.dense())
-    assert want_lower is False
-    assert c.shape == want.shape and c.flags.f_contiguous == want.flags.f_contiguous
-    assert c.tobytes() == want.tobytes()
-    assert not c.flags.writeable
-
-
-def test_cholesky_rejects_matrix_that_is_not_positive_definite(monkeypatch):
-    op = make_op(n=4)
-    monkeypatch.setattr(type(op), "dense", lambda self: -np.eye(4))
-    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        op.cholesky
-
-
-def test_lapack_seam_raises_when_extension_is_missing(monkeypatch):
-    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
-                        lambda name, path=None, target=None: None)
-    with pytest.raises(ImportError, match="_flapack"):
-        lapack.__wrapped__()  # the uncached loader

@@ -33,8 +33,8 @@ def assert_rows_bitwise(stack, rows):
 
 
 def pcg_oracle(matvec, precondition, b, tol, max_iter):
-    """The one-right-hand-side conjugate gradients of solve_linear as they
-    were before stacks, with 1-D matvec and precondition."""
+    """Conjugate gradients for one right-hand side, written out apart from
+    operator._pcg, with 1-D matvec and precondition."""
     if not b.any():
         return np.zeros_like(b)
     scale = float(np.abs(b).max())
@@ -94,52 +94,24 @@ def test_strang_solve_stack_matches_rows(n):
 def test_solve_linear_stack_matches_rows(n):
     op = make_op(n=n, s=0.6)
     f = rhs_stack(n, np.random.default_rng(n))
-    rows = [solve_linear(op, row) for row in f]
-    assert_rows_bitwise(solve_linear(op, f), rows)
-    if n > solvers.DENSE_LIMIT:  # conjugate gradients, row by row as before
-        assert_rows_bitwise(np.array(rows), [
-            pcg_oracle(op.apply, op.strang_solve, row, solvers._LINEAR_TOL,
-                       solvers.PCG_MAX_ITER) for row in f])
+    assert_rows_bitwise(solve_linear(op, f), [solve_linear(op, row) for row in f])
 
 
-def test_solve_linear_stack_rows_converge_at_their_own_iteration(monkeypatch):
-    # The rows of rhs_stack take different numbers of iterations, so the
-    # stack above froze its rows at different points.
-    op = make_op(n=768, s=0.6)
-    matvecs = []
-    apply = type(op).apply
-    monkeypatch.setattr(type(op), "apply",
-                        lambda self, v: matvecs.append(len(v)) or apply(self, v))
-    f = rhs_stack(768, np.random.default_rng(768))
-    counts = []
-    for row in f:
-        matvecs.clear()
-        solve_linear(op, row)
-        counts.append(len(matvecs))
-    assert counts[1] == 0  # the zero row takes no product
-    assert len(set(counts)) >= 3
-    # The budget is per row: the slowest row converges on its last iteration.
-    monkeypatch.setattr(solvers, "PCG_MAX_ITER", max(counts))
-    solve_linear(op, f)
-    monkeypatch.setattr(solvers, "PCG_MAX_ITER", max(counts) - 1)
-    with pytest.raises(IterationLimitError):
-        solve_linear(op, f)
-
-
-def test_solve_linear_stack_overrun_raises_with_each_rows_best(monkeypatch):
+@pytest.mark.parametrize("max_iter", [2, solvers.PCG_MAX_ITER])
+def test_pcg_matches_the_one_row_oracle(max_iter):
+    # _pcg gives the oracle's bits, for each right-hand side of rhs_stack
+    # both when it converges and when it runs out of iterations.
     op = make_op(n=600, s=0.6)
-    f = rhs_stack(600, np.random.default_rng(6))
-    monkeypatch.setattr(solvers, "PCG_MAX_ITER", 2)
-    with pytest.raises(IterationLimitError, match="within 2 iterations") as exc:
-        solve_linear(op, f)
-    best = []
-    for row in f:
+    for row in rhs_stack(600, np.random.default_rng(6)):
         try:
-            best.append(pcg_oracle(op.apply, op.strang_solve, row,
-                                   solvers._LINEAR_TOL, 2))
+            want = pcg_oracle(op.apply, op.strang_solve, row, solvers.PCG_TOL, max_iter)
         except IterationLimitError as err:
-            best.append(err.best)
-    assert_rows_bitwise(exc.value.best, best)
+            with pytest.raises(IterationLimitError, match=f"within {max_iter} iterations") as exc:
+                solvers._pcg(op.apply, op.strang_solve, row, None, solvers.PCG_TOL, max_iter)
+            got, want = exc.value.best, err.best
+        else:
+            got = solvers._pcg(op.apply, op.strang_solve, row, None, solvers.PCG_TOL, max_iter)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_solve_linear_rejects_stack_of_wrong_width_and_nonfinite_rows():
