@@ -69,6 +69,14 @@ def run_python(code, *args, **env):
                           capture_output=True, text=True, check=True).stdout
 
 
+def test_cli_import_leaves_out_scipy_special():
+    # Importing the CLI loads no scipy module: math.gamma serves the kernel
+    # constant, and every linear solve is numpy FFTs.
+    code = ("import sys, fracobstacle.cli; "
+            "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
+    assert run_python(code).strip() == "[]"
+
+
 # --- config parsing ----------------------------------------------------------------
 
 def test_parse_minimal_config():
@@ -1186,7 +1194,7 @@ def golden_args(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["pg-600", "verify-activeset-300", "sweep-fft",
                                   "verify", "penalty", "oracle-check"])
-def test_cli_run_imports_no_scipy(tmp_path, case):
+def test_cli_run_leaves_out_scipy_linalg(tmp_path, case):
     # The package needs numpy alone: no run imports a scipy module, and
     # math.gamma serves the kernel constant.
     code = ("import sys; from fracobstacle.cli import main; code = main(sys.argv[1:]); "
