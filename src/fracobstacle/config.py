@@ -108,7 +108,6 @@ _FORCINGS = {
 
 _PENALTY_SCHEMA = {
     "penalty.epsilon": (_parse_float, PenaltyParams.epsilon),
-    "penalty.damping": (_parse_float, PenaltyParams.picard_damping),
     "penalty.max_outer": (_parse_int, PenaltyParams.max_outer),
 }
 
@@ -248,7 +247,6 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
         if penalty_enabled:
             penalty_params = PenaltyParams(
                 epsilon=values["penalty.epsilon"],
-                picard_damping=values["penalty.damping"],
                 max_outer=values["penalty.max_outer"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

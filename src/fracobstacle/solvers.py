@@ -50,8 +50,6 @@ __all__ = [
     "SOLVERS",
 ]
 
-# The penalty route's size cap (see _check_penalty_size).
-PENALTY_MAX_N = 512
 # Roundoff factor c of roundoff_tol, max(tol, c eps D max(1, ||u||_inf)) with
 # eps the machine epsilon: the active set's final gate, the KKT and
 # Lewy-Stampacchia checkers and the oracle's feasibility filter never hold a
@@ -142,17 +140,14 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class PenaltyParams:
-    """Penalty width eps, Picard damping and outer-iteration budget."""
+    """Penalty width eps and the budget of Newton steps."""
 
     epsilon: float = 1e-2
-    picard_damping: float = 1.0
     max_outer: int = 500_000
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if not 0.0 < self.picard_damping <= 1.0:
-            raise ValueError("picard_damping must lie in (0, 1]")
         if self.max_outer < 1:
             raise ValueError("max_outer must be positive")
 
@@ -162,10 +157,10 @@ class PenaltyParams:
         w = np.clip(np.asarray(t, float) / self.epsilon, 0.0, 1.0)
         return 1.0 - 3.0 * w**2 + 2.0 * w**3
 
-    def lipschitz_bound(self) -> float:
-        """|theta'| estimated on a fine sample: just below its max 1.5 / eps."""
-        t = np.linspace(0.0, self.epsilon, 4097)
-        return float(np.abs(np.diff(self.theta(t))).max() / (t[1] - t[0]))
+    def slope(self, t) -> np.ndarray:
+        """-theta_eps'(t) = 6 w (1 - w) / eps >= 0, w = clip(t / eps, 0, 1)."""
+        w = np.clip(np.asarray(t, float) / self.epsilon, 0.0, 1.0)
+        return 6.0 * w * (1.0 - w) / self.epsilon
 
 
 @dataclass(frozen=True)
@@ -463,47 +458,23 @@ SOLVERS = {
 }
 
 
-def _spectral_radius_estimate(op: FracLapOperator, scale: np.ndarray) -> float:
-    """Power iteration, 60 steps, on v -> A^{-1}(scale * v); scale >= 0."""
-    if scale.max() <= 0.0:
-        return 0.0
-    n = op.grid.n
-    v = np.ones(n) / np.sqrt(n)
-    rho = 0.0
-    for _ in range(60):
-        w = solve_linear(op, scale * v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        rho, v = norm, w / norm
-    return rho
-
-
 @lru_cache(maxsize=1)
 def _penalty_setup(op: FracLapOperator, psi_plus: bytes, params: SolverParams):
     """The part of solve_penalty that does not depend on eps.
 
-    Returns the PSOR solution of the obstacle problem (psi^+, 0), q = (A psi^+)^+,
-    ||A^{-1}||_inf and the spectral radius of A^{-1} diag(q), read-only.  The
-    last call is memoised on (operator identity, bits of psi^+, params), so
-    an eps sweep on one operator and obstacle solves once; an
-    IterationLimitError is raised again by every call.
+    Returns the PSOR solution of the obstacle problem (psi^+, 0), q = (A psi^+)^+
+    and ||A^{-1}||_inf, read-only.  The last call is memoised on (operator
+    identity, bits of psi^+, params), so an eps sweep on one operator and
+    obstacle solves once; an IterationLimitError is raised again by every call.
     """
     n = op.grid.n
     psi_plus = np.frombuffer(psi_plus)
     exact = solve_psor(ProblemSpec(op=op, psi=psi_plus, f=np.zeros(n)), params)
     q = np.maximum(op.apply(psi_plus), 0.0)
     ainv_norm = float(solve_linear(op, np.ones(n)).max())  # ||A^{-1}||_inf, A^{-1} > 0
-    rho = _spectral_radius_estimate(op, q)
     for array in (exact.u, exact.residual, exact.active_set, q):
         array.flags.writeable = False
-    return exact, q, ainv_norm, rho
-
-
-def _check_penalty_size(n: int):
-    """The penalty route's size cap, kept by solve_penalty and by the CLI before it solves."""
-    if n > PENALTY_MAX_N:
-        raise ValueError(f"penalty solver requires n <= {PENALTY_MAX_N}, got {n}")
+    return exact, q, ainv_norm
 
 
 def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None,
@@ -512,79 +483,71 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
 
     Replaces the constraint by the semilinear equation
 
-        A u_eps = theta_eps(u_eps - psi^+) * (A psi^+)^+,
+        F(v) = A v - theta_eps(v - psi^+) q = 0,   q = (A psi^+)^+,
 
-    solved by damped Picard iteration
-
-        u^{k+1} = (1 - d) u^k + d * A^{-1}[theta_eps(u^k - psi^+) (A psi^+)^+],
-
-    warm-started at the PSOR solution u of the obstacle problem.  The exact
-    penalty solution brackets u from above: u <= u_eps <= u + eps, and that
-    sandwich is asserted (with slack 10*tol) before returning.
+    solved by Newton's method from the PSOR solution u of the obstacle
+    problem.  The Jacobian A + diag(g), g = slope(v - psi^+) q >= 0, is an
+    SPD M-matrix; each step solves it by conjugate gradients preconditioned
+    by the Strang circulant, to PCG_TOL.  The step length t starts at 1 and
+    halves until ||F||_2^2 falls to (1 - 1e-4 t) times its value (Armijo);
+    damping_used is the smallest t taken.  The exact penalty solution
+    brackets u from above: u <= u_eps <= u + eps, and that sandwich is
+    asserted (with slack 10*tol) before returning.
 
     Requires f = 0; reduce general forcing with reduce_to_zero_forcing first.
-    The initial damping is capped at 1.8 / (1 + rho*L), the local-contraction
-    threshold (rho = spectral radius of A^{-1} diag((A psi^+)^+), L = Lipschitz
-    bound of theta); stagnation halves it, up to four times.  The PSOR solve,
-    rho and ||A^{-1}||_inf do not depend on eps; see _penalty_setup for how
+    Running out of steps (max_outer), a line search whose trial point is
+    the iterate itself, or a failed Jacobian solve raises
+    IterationLimitError with the PSOR solution as its best.  The PSOR solve
+    and ||A^{-1}||_inf do not depend on eps; see _penalty_setup for how
     successive calls share them.
     """
     penalty_params = penalty_params or PenaltyParams()
     params = params or SolverParams()
     op = spec.op
-    n = spec.n
     if np.any(spec.f != 0.0):
         raise ValueError("solve_penalty requires zero forcing; "
                          "apply reduce_to_zero_forcing first")
-    _check_penalty_size(n)
 
     psi_plus = np.maximum(spec.psi, 0.0)
-    exact, q, ainv_norm, rho = _penalty_setup(op, psi_plus.tobytes(), params)
-    theta = penalty_params.theta
+    exact, q, ainv_norm = _penalty_setup(op, psi_plus.tobytes(), params)
+    theta, slope = penalty_params.theta, penalty_params.slope
     eps = penalty_params.epsilon
-    lip = penalty_params.lipschitz_bound()
-    d = min(penalty_params.picard_damping, 1.8 / (1.0 + rho * lip))
+
+    def residual(v):
+        return op.apply(v) - theta(v - psi_plus) * q
 
     # ||u - u*||_inf <= ||A^{-1}||_inf ||F(u)||_inf: the residual equals
     # (A + Xi) e with Xi >= 0 diagonal, and M-matrix comparison applies.
     stop = params.tol / max(ainv_norm, 1e-300)
 
+    def give_up(message):  # after it steps, at the residual res
+        return IterationLimitError(
+            f"{message} (residual {np.abs(res).max():.3e})",
+            make_solution(spec, exact.u, it, "penalty", False, params))
+
     u_eps = exact.u.copy()
-    halvings = 0
-    best_res = np.inf
-    best_iterate = u_eps.copy()
-    stall = 0
-    stall_window = 2000
+    res = residual(u_eps)
+    d = 1.0
     it = 0
-    while True:
-        rhs = theta(u_eps - psi_plus) * q
-        resid = op.apply(u_eps)
-        resid -= rhs
-        res = float(np.abs(resid, out=resid).max())
-        if res <= stop:
-            break
-        if res < best_res * (1.0 - 1e-6):
-            best_res, best_iterate, stall = res, u_eps.copy(), 0
-        else:
-            stall += 1
-            if stall > stall_window and halvings < 4:
-                halvings += 1
-                d *= 0.5
-                u_eps = best_iterate.copy()
-                stall = 0
-                continue
-        if stall > stall_window or it >= penalty_params.max_outer:
-            message = (f"penalty Picard stagnated at residual {best_res:.3e} "
-                       f"after {halvings} dampings" if stall > stall_window else
-                       f"penalty Picard exceeded max_outer={penalty_params.max_outer} "
-                       f"(residual {res:.3e})")
-            raise IterationLimitError(
-                message, make_solution(spec, exact.u, it, "penalty", False, params))
-        # u_eps <- (1 - d) u_eps + d A^{-1} rhs in place, the same operations
-        w = solve_linear(op, rhs)
-        w *= d
-        u_eps *= 1.0 - d
-        u_eps += w
+    while np.abs(res).max() > stop:
+        if it >= penalty_params.max_outer:
+            raise give_up(f"penalty Newton exceeded max_outer={penalty_params.max_outer}")
+        g = slope(u_eps - psi_plus) * q
+        try:
+            step = _pcg(lambda x: op.apply(x) + g * x, op.strang_solve, res, None,
+                        PCG_TOL, PCG_MAX_ITER)
+        except IterationLimitError as exc:
+            raise give_up(f"penalty Newton step {it + 1}: {exc}") from None
+        norm2, t = np.dot(res, res), 1.0
+        while True:
+            trial = u_eps - t * step
+            if np.array_equal(trial, u_eps):
+                raise give_up(f"penalty Newton line search stalled at step {it + 1}")
+            trial_res = residual(trial)
+            if np.dot(trial_res, trial_res) <= (1.0 - 1e-4 * t) * norm2:
+                break
+            t *= 0.5
+        u_eps, res, d = trial, trial_res, min(d, t)
         it += 1
 
     slack = 10.0 * params.tol

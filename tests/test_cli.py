@@ -194,6 +194,9 @@ CONFIG_ERRORS = {
     "no nodes": (BASE_CONFIG.replace("grid.n = 8", "grid.n = 0"), "grid.n must be positive"),
     "bad penalty": (BASE_CONFIG.replace("method = activeset", "method = penalty")
                     + "\npenalty.epsilon = -1\n", "epsilon must be positive"),
+    # Newton takes no damping: the key left with Picard's damping loop.
+    "penalty damping key": (BASE_CONFIG.replace("method = activeset", "method = penalty")
+                            + "\npenalty.damping = 0.5\n", "unknown key(s): penalty.damping"),
     "fractional n": (BASE_CONFIG + _SWEEP.format("n", "8, 9.5"),
                      "n-axis sweep.values must be positive integers"),
     "short custom list": (_drop(BASE_CONFIG, ("obstacle.", "grid.n")) + "\ngrid.n = 4\n"
@@ -213,9 +216,6 @@ CONFIG_ERRORS = {
                        "key 'verify.tol': expected a finite number, got 'nan'"),
     "negative verify tol": (BASE_CONFIG + "\nverify.tol = -1\n",
                             "verify.tol must be positive, got -1.0"),
-    "penalty above dense limit": (BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
-                                  .replace("method = activeset", "method = penalty"),
-                                  "penalty solver requires n <= 512, got 600"),
     "infinite solver tol": (BASE_CONFIG + "\nsolver.tol = inf\n",
                             "key 'solver.tol': expected a finite number"),
     "infinite active tol": (BASE_CONFIG + "\nsolver.active_tol = inf\n",
@@ -244,36 +244,16 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
     assert err.startswith("config error: ") and message in err
 
 
-# Errors only a sweep meets: its rows take the penalty route, or run an n the
-# config's own grid does not.  solve runs these configs.
-SWEEP_ERRORS = {
-    "epsilon axis above dense limit": (BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
-                                       + _SWEEP.format("epsilon", "1e-1, 1e-2"),
-                                       "penalty solver requires n <= 512, got 600"),
-    "penalty n axis above dense limit": (BASE_CONFIG.replace("method = activeset",
-                                                             "method = penalty")
-                                         + _SWEEP.format("n", "8, 520"),
-                                         "penalty solver requires n <= 512, got 520"),
-}
-
-
-@pytest.mark.parametrize("case", SWEEP_ERRORS)
-def test_solve_runs_configs_only_a_sweep_refuses(tmp_path, case):
-    text = SWEEP_ERRORS[case][0]
-    assert main(["solve", "--config", write_config(tmp_path, text)]) == 0
-
-
 # These operators over- or underflow only at the config's own s, which a sweep
 # over the s values below never builds.
 _BUILD_ERRORS = ("overflowing operator", "underflowing operator")
 
 
-@pytest.mark.parametrize("case", [*(c for c in CONFIG_ERRORS if c not in _BUILD_ERRORS),
-                                  *SWEEP_ERRORS])
+@pytest.mark.parametrize("case", [c for c in CONFIG_ERRORS if c not in _BUILD_ERRORS])
 def test_config_errors_exit_2_under_sweep(tmp_path, capsys, case):
     # A sweep builds and checks every row's problem before it solves any, so
     # an input error exits 2 with no row written, as solve does.
-    text, message = {**CONFIG_ERRORS, **SWEEP_ERRORS}[case]
+    text, message = CONFIG_ERRORS[case]
     if "sweep.axis" not in text:
         text += _SWEEP.format("s", "0.25, 0.5")
     out = tmp_path / "sweep.csv"
@@ -329,34 +309,19 @@ def _no_solve(*args, **kwargs):
     pytest.fail("a row was solved before every row's problem was checked")
 
 
-@pytest.mark.parametrize("text, extra, message", [
-    # --solver penalty is applied after parsing; the sweep still checks the
-    # cap on every row before it solves one.
-    (BASE_CONFIG.replace("grid.n = 8", "grid.n = 600").replace("method = activeset",
-                                                               "method = psor")
-     + _SWEEP.format("s", "0.25, 0.5"),
-     ("--solver", "penalty"), "penalty solver requires n <= 512, got 600"),
+@pytest.mark.parametrize("text, message", [
     # One problem for every epsilon, and it fails the data-scale bound.
-    (_PLATEAU.format(n=100, c=1e300) + _SWEEP.format("epsilon", "1e-1, 1e-2"), (),
+    (_PLATEAU.format(n=100, c=1e300) + _SWEEP.format("epsilon", "1e-1, 1e-2"),
      "obstacle and forcing too large"),
-], ids=["solver flag penalty above cap", "epsilon axis data too large"])
+], ids=["epsilon axis data too large"])
 def test_sweep_input_error_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
-                                                    text, extra, message):
+                                                    text, message):
     monkeypatch.setattr(fracobstacle.cli, "run_single", _no_solve)
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", write_config(tmp_path, text), "--csv", str(out),
-                 *extra]) == 2
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--csv", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not out.exists()
-
-
-def test_solver_flag_lifts_the_penalty_cap_of_the_configs_method(tmp_path):
-    # The cap belongs to the route that runs, not to solver.method.
-    text = (BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
-            .replace("method = activeset", "method = penalty"))
-    cfg = write_config(tmp_path, text)
-    assert main(["solve", "--config", cfg, "--solver", "activeset"]) == 0
 
 
 def _no_build(self, **_):
@@ -522,6 +487,38 @@ def test_solve_penalty_route(tmp_path):
     assert 0.0 <= record["penalty"]["max_gap"] <= 1e-2 + 1e-7
 
 
+def test_penalty_u_eps_is_written_in_the_coordinates_of_u(tmp_path):
+    # u <= u_eps <= u + eps holds for the record's u and u_eps, both in the
+    # coordinates of the problem the config states (forcing -0.5 here).
+    args = golden_args(tmp_path, "penalty")
+    assert main(args) == 0
+    record = load_record(args[-1])
+    eps, tol = record["penalty"]["epsilon"], record["config"]["solver.tol"]
+    gap = np.subtract(record["penalty"]["u_eps"], record["u"])
+    assert gap.min() >= -10 * tol and gap.max() <= eps + 10 * tol
+    assert abs(gap.max() - record["penalty"]["max_gap"]) <= 1e-12
+
+
+def test_penalty_route_runs_above_the_old_size_cap(tmp_path):
+    # The route once refused n > 512; at n = 600 solve and an epsilon sweep
+    # exit 0, and the solve agrees with the active set.
+    text = (BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
+            .replace("forcing.preset = zero", "forcing.preset = constant\nforcing.c = -0.5"))
+    cfg = write_config(tmp_path, text)
+    records = {}
+    for method in ("penalty", "activeset"):
+        out = tmp_path / f"{method}.json"
+        assert main(["solve", "--config", cfg, "--solver", method, "--out", str(out)]) == 0
+        records[method] = load_record(out)
+    assert np.abs(np.subtract(records["penalty"]["u"], records["activeset"]["u"])).max() <= 1e-9
+    sweep = write_config(tmp_path, text + _SWEEP.format("epsilon", "1e-1, 1e-3"), "sweep.cfg")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", sweep, "--csv", str(out)]) == 0
+    rows = sweep_rows(out)
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert all(0.0 <= float(r["max_penalty_gap"]) <= float(r["value"]) for r in rows)
+
+
 def test_solver_override_flag(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG)
     out = str(tmp_path / "out.json")
@@ -655,10 +652,10 @@ def test_exit_3_penalty_route_records_its_iterate_on_the_real_problem(tmp_path, 
     assert record["energy"] == spec.op.energy(u, spec.f)
 
 
-def test_exit_3_penalty_picard_records_its_warm_start_on_the_real_problem(tmp_path, capsys):
-    # The PSOR warm start converges; one Picard step cannot reach the stop
+def test_exit_3_penalty_newton_records_its_warm_start_on_the_real_problem(tmp_path, capsys):
+    # The PSOR warm start converges; one Newton step cannot reach the stop
     # test.  The record holds the PSOR solution of the reduced problem plus
-    # the shift w, with the Picard step count.
+    # the shift w, with the Newton step count.
     text = BASE_CONFIG.replace("solver.method = activeset", "solver.method = penalty")
     text = text.replace("obstacle.d = 4.0", "obstacle.d = 8.0")
     text = text.replace("forcing.preset = zero", "forcing.preset = constant\nforcing.c = -0.5")
@@ -666,7 +663,7 @@ def test_exit_3_penalty_picard_records_its_warm_start_on_the_real_problem(tmp_pa
     cfg = write_config(tmp_path, text)
     out = str(tmp_path / "out.json")
     assert main(["solve", "--config", cfg, "--out", out]) == 3
-    assert "solver failure: penalty Picard exceeded max_outer=1" in capsys.readouterr().err
+    assert "solver failure: penalty Newton exceeded max_outer=1" in capsys.readouterr().err
     record = load_record(out)
     run = parse_config_text(text)
     spec = run.build_problem()
@@ -789,22 +786,6 @@ def test_exit_3_oracle_failure_records_psi_plus_as_the_oracle(tmp_path, monkeypa
     assert record["energy"] == spec.op.energy(u, spec.f)
     assert list(record)[-3:] == ["reports", "error", "timing_seconds"]
     assert "oracle_deviations" not in record
-
-
-def test_exit_3_when_penalty_picard_stagnates(tmp_path, capsys):
-    # A damping of 1e-12 leaves the Picard iterate where it starts, so the
-    # loop halves the damping four times and then gives up.
-    text = BASE_CONFIG.replace("solver.method = activeset", "solver.method = penalty")
-    text = text.replace("forcing.preset = zero", "forcing.preset = constant\nforcing.c = -0.5")
-    text += "\npenalty.damping = 1e-12\n"
-    out = str(tmp_path / "out.json")
-    assert main(["solve", "--config", write_config(tmp_path, text), "--out", out]) == 3
-    assert "solver failure: penalty Picard stagnated" in capsys.readouterr().err
-    record = load_record(out)
-    assert record["solver_id"] == "penalty"
-    assert record["converged"] is False and record["iterations"] == 10001
-    assert record["error"].startswith("penalty Picard stagnated at residual ")
-    assert record["error"].endswith(" after 4 dampings")
 
 
 def test_exit_4_on_injected_corruption(tmp_path):
@@ -1169,8 +1150,8 @@ GOLDEN_CASES = {
     # The golden_solve.cfg problem on the s and n axes, each row built apart.
     "sweep-s": ("sweep", "golden_sweep_s.cfg", (), "golden_sweep_s.csv"),
     "sweep-n": ("sweep", "golden_sweep_n.cfg", (), "golden_sweep_n.csv"),
-    # n=300: the FFT matvec, PSOR's column updates and the Picard loop at
-    # sizes the n <= 12 goldens above never reach.
+    # n=300: the FFT matvec, PSOR's column updates and the penalty route's
+    # Newton steps at sizes the n <= 12 goldens above never reach.
     "pg": ("solve", "golden_pg.cfg", ("--solver", "pg"), "golden_pg.json"),
     "sweep-fft": ("sweep", "golden_sweep_fft.cfg", (), "golden_sweep_fft.csv"),
     # n=600: projected gradient on a second FFT length; n=300: the active

@@ -124,7 +124,7 @@ def test_solver_params_validation(kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"epsilon": 0.0}, {"picard_damping": 0.0}, {"picard_damping": 1.5},
+    {"epsilon": 0.0}, {"epsilon": -1.0}, {"epsilon": math.nan},
     {"max_outer": 0},
 ])
 def test_penalty_params_validation(kwargs):
@@ -139,9 +139,14 @@ def test_penalty_theta_is_cubic_smoothstep(eps):
     vals = params.theta(np.linspace(-eps, 2.0 * eps, 1001))
     assert vals.min() >= 0.0 and vals.max() <= 1.0
     assert np.all(np.diff(vals) <= 0.0)
-    # the sampled bound sits just below the exact max |theta'| = 1.5 / eps
-    lip = params.lipschitz_bound()
-    assert lip <= 1.5 / eps and (1.5 / eps - lip) / (1.5 / eps) < 1e-6
+    # slope is -theta': a central difference of theta, vanishing outside (0, eps)
+    t = np.linspace(-eps, 2.0 * eps, 301)
+    h = 1e-6 * eps
+    slope = params.slope(t)
+    central = (params.theta(t - h) - params.theta(t + h)) / (2.0 * h)
+    assert slope.min() >= 0.0 and slope.max() <= 1.5 / eps
+    np.testing.assert_allclose(slope, central, rtol=0.0, atol=1e-5 / eps)
+    assert np.all(slope[(t <= 0.0) | (t >= eps)] == 0.0)
 
 
 def test_problem_spec_validation():
@@ -738,6 +743,69 @@ def test_penalty_sandwich_violation_raises(monkeypatch):
             solve_penalty(spec, PenaltyParams(epsilon=1e-3), PARAMS)
     finally:
         solvers._penalty_setup.cache_clear()
+
+
+def _reduced_readme_bump(n, s):
+    """The README bump, forcing -0.5, reduced to zero forcing."""
+    op = make_op(n=n, s=s)
+    x = op.grid.nodes()
+    spec = ProblemSpec(op, 0.5 - 8.0 * (x - 0.5) ** 2, np.full(n, -0.5))
+    return ProblemSpec(op, reduce_to_zero_forcing(spec).psi_reduced, np.zeros(n))
+
+
+@pytest.mark.parametrize("n, s, eps", [(64, 0.75, 1e-4), (64, 0.9, 1e-4), (64, 0.95, 1e-4),
+                                       (128, 0.9, 1e-3)])
+def test_penalty_newton_converges_where_picard_stagnated(n, s, eps):
+    # Damped Picard gave up on each of these after four halvings of its damping.
+    spec = _reduced_readme_bump(n, s)
+    result = solve_penalty(spec, PenaltyParams(epsilon=eps), PARAMS)
+    gap = result.u_eps - result.solution.u
+    assert gap.min() >= -10 * PARAMS.tol and gap.max() <= eps + 10 * PARAMS.tol
+    assert result.outer_iterations <= 8
+    assert 0.0 < result.damping_used <= 1.0
+
+
+def _psor_best_of_penalty_give_up(spec, exc):
+    """The give-up's best is the PSOR solution of (psi^+, 0), unconverged."""
+    exact = solve_psor(ProblemSpec(spec.op, np.maximum(spec.psi, 0.0), spec.f), PARAMS)
+    best = exc.value.best
+    assert best.solver_id == "penalty" and best.converged is False
+    assert best.u.tobytes() == exact.u.tobytes()
+    return best
+
+
+def test_penalty_newton_line_search_stall_gives_up_with_the_psor_solution(monkeypatch):
+    # A stop threshold 1e-30 times the real one lies below the residual's roundoff,
+    # so the line search halves the step until the trial point is the iterate.
+    spec = random_instance(95, n=10, nonneg_psi=True, zero_f=True)
+    real = solvers._penalty_setup
+
+    def below_roundoff(*args):
+        exact, q, ainv_norm = real(*args)
+        return exact, q, 1e30 * ainv_norm
+
+    monkeypatch.setattr(solvers, "_penalty_setup", below_roundoff)
+    with pytest.raises(IterationLimitError,
+                       match=r"penalty Newton line search stalled at step \d+ "
+                             r"\(residual \S+\)$") as exc:
+        solve_penalty(spec, PenaltyParams(epsilon=1e-3), PARAMS)
+    best = _psor_best_of_penalty_give_up(spec, exc)
+    assert 1 <= best.iterations <= 20
+    assert str(exc.value).startswith(f"penalty Newton line search stalled at step "
+                                     f"{best.iterations + 1} ")
+
+
+def test_penalty_newton_gives_up_when_its_jacobian_solve_fails(monkeypatch):
+    spec = random_instance(96, n=10, nonneg_psi=True, zero_f=True)
+
+    def failing_pcg(*args):
+        raise IterationLimitError("preconditioned conjugate gradients did not converge", None)
+
+    monkeypatch.setattr(solvers, "_pcg", failing_pcg)
+    with pytest.raises(IterationLimitError, match="^penalty Newton step 1: preconditioned "
+                       "conjugate gradients did not converge \\(residual ") as exc:
+        solve_penalty(spec, PenaltyParams(epsilon=1e-3), PARAMS)
+    assert _psor_best_of_penalty_give_up(spec, exc).iterations == 0
 
 
 def test_penalty_gap_monotone_in_epsilon():
