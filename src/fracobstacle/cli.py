@@ -324,7 +324,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # Every row's problem is built and checked before any row is solved, so an
     # input error exits 2 with no row written and a row records only a solver
     # failure.  Every epsilon shares one problem, so one operator: the penalty
-    # solver's eps-free setup (its PSOR solve) then runs once.
+    # solver's eps-free setup (its active-set solve) then runs once.
     if axis == "epsilon":
         specs = [cfg.build_problem()] * len(values)
     else:

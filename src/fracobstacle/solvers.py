@@ -462,14 +462,15 @@ SOLVERS = {
 def _penalty_setup(op: FracLapOperator, psi_plus: bytes, params: SolverParams):
     """The part of solve_penalty that does not depend on eps.
 
-    Returns the PSOR solution of the obstacle problem (psi^+, 0), q = (A psi^+)^+
-    and ||A^{-1}||_inf, read-only.  The last call is memoised on (operator
-    identity, bits of psi^+, params), so an eps sweep on one operator and
-    obstacle solves once; an IterationLimitError is raised again by every call.
+    Returns the active-set solution of the obstacle problem (psi^+, 0),
+    q = (A psi^+)^+ and ||A^{-1}||_inf, read-only.  The last call is memoised
+    on (operator identity, bits of psi^+, params), so an eps sweep on one
+    operator and obstacle solves once; an IterationLimitError is raised
+    again by every call.
     """
     n = op.grid.n
     psi_plus = np.frombuffer(psi_plus)
-    exact = solve_psor(ProblemSpec(op=op, psi=psi_plus, f=np.zeros(n)), params)
+    exact = solve_active_set(ProblemSpec(op=op, psi=psi_plus, f=np.zeros(n)), params)
     q = np.maximum(op.apply(psi_plus), 0.0)
     ainv_norm = float(solve_linear(op, np.ones(n)).max())  # ||A^{-1}||_inf, A^{-1} > 0
     for array in (exact.u, exact.residual, exact.active_set, q):
@@ -485,10 +486,10 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
 
         F(v) = A v - theta_eps(v - psi^+) q = 0,   q = (A psi^+)^+,
 
-    solved by Newton's method from the PSOR solution u of the obstacle
-    problem.  The Jacobian A + diag(g), g = slope(v - psi^+) q >= 0, is an
-    SPD M-matrix; each step solves it by conjugate gradients preconditioned
-    by the Strang circulant, to PCG_TOL.  The step length t starts at 1 and
+    solved by Newton's method from the active-set solution u of the
+    obstacle problem.  The Jacobian A + diag(g), g = slope(v - psi^+) q >= 0,
+    is an SPD M-matrix; each step solves it by conjugate gradients
+    preconditioned by the Strang circulant, to PCG_TOL.  The step length t starts at 1 and
     halves until ||F||_2^2 falls to (1 - 1e-4 t) times its value (Armijo);
     damping_used is the smallest t taken.  The exact penalty solution
     brackets u from above: u <= u_eps <= u + eps, and that sandwich is
@@ -497,8 +498,9 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
     Requires f = 0; reduce general forcing with reduce_to_zero_forcing first.
     Running out of steps (max_outer), a line search whose trial point is
     the iterate itself, or a failed Jacobian solve raises
-    IterationLimitError with the PSOR solution as its best.  The PSOR solve
-    and ||A^{-1}||_inf do not depend on eps; see _penalty_setup for how
+    IterationLimitError with the active-set solution as its best.  A failed
+    active-set solve raises its own IterationLimitError.  That solve and
+    ||A^{-1}||_inf do not depend on eps; see _penalty_setup for how
     successive calls share them.
     """
     penalty_params = penalty_params or PenaltyParams()

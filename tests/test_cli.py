@@ -20,7 +20,6 @@ from fracobstacle import (
     check_kkt,
     cli,
     reduce_to_zero_forcing,
-    solve_psor,
     solvers,
 )
 from fracobstacle.cli import _fmt_float, _write_json, dumps, main
@@ -501,7 +500,8 @@ def test_penalty_u_eps_is_written_in_the_coordinates_of_u(tmp_path):
 
 def test_penalty_route_runs_above_the_old_size_cap(tmp_path):
     # The route once refused n > 512; at n = 600 solve and an epsilon sweep
-    # exit 0, and the solve agrees with the active set.
+    # exit 0, and the solve agrees with the active set to roundoff (PSOR's
+    # warm start left 9.1e-12 between them).
     text = (BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
             .replace("forcing.preset = zero", "forcing.preset = constant\nforcing.c = -0.5"))
     cfg = write_config(tmp_path, text)
@@ -510,13 +510,40 @@ def test_penalty_route_runs_above_the_old_size_cap(tmp_path):
         out = tmp_path / f"{method}.json"
         assert main(["solve", "--config", cfg, "--solver", method, "--out", str(out)]) == 0
         records[method] = load_record(out)
-    assert np.abs(np.subtract(records["penalty"]["u"], records["activeset"]["u"])).max() <= 1e-9
+    assert np.abs(np.subtract(records["penalty"]["u"], records["activeset"]["u"])).max() <= 1e-13
     sweep = write_config(tmp_path, text + _SWEEP.format("epsilon", "1e-1, 1e-3"), "sweep.cfg")
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", sweep, "--csv", str(out)]) == 0
     rows = sweep_rows(out)
     assert [r["status"] for r in rows] == ["ok", "ok"]
     assert all(0.0 <= float(r["max_penalty_gap"]) <= float(r["value"]) for r in rows)
+
+
+def test_penalty_route_meets_solver_tol_on_the_readme_bump_at_n512(tmp_path, capsys):
+    # s = 0.9, D = 4.8e4: a warm start that meets solver.tol only on the
+    # reduced problem can miss it once the shift A^{-1} f is added back, as
+    # PSOR's did (1.021e-10).
+    text = (BASE_CONFIG.replace("grid.n = 8", "grid.n = 512")
+            .replace("operator.s = 0.5", "operator.s = 0.9")
+            .replace("obstacle.d = 4.0", "obstacle.d = 8.0")
+            .replace("forcing.preset = zero", "forcing.preset = constant\nforcing.c = -0.5")
+            .replace("solver.method = activeset", "solver.method = penalty"))
+    cfg = write_config(tmp_path, text + "penalty.epsilon = 1e-3\n")
+    assert main(["solve", "--config", cfg]) == 0
+    summary = capsys.readouterr().out
+    assert "solver=penalty" in summary
+    assert float(summary.split("kkt_violation=")[1]) <= SolverParams().tol
+
+
+def test_penalty_route_runs_no_psor_solve(tmp_path, monkeypatch):
+    psor_calls = count_psor_calls(monkeypatch)
+    active_set_calls = count_active_set_calls(monkeypatch)
+    text = (DATA_DIR / "golden_sweep.cfg").read_text()
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--solver", "penalty"]) == 0
+    assert main(["sweep", "--config", cfg, "--csv", str(tmp_path / "out.csv")]) == 0
+    assert psor_calls == []
+    assert len(active_set_calls) == 2  # the solve's, then the sweep's: a new operator
 
 
 def test_solver_override_flag(tmp_path):
@@ -628,22 +655,22 @@ def test_exit_3_verify_keeps_the_failed_main_solve(tmp_path, capsys):
 
 
 def test_exit_3_penalty_route_records_its_iterate_on_the_real_problem(tmp_path, capsys):
-    # The penalty route's PSOR warm start fails on the reduced problem
-    # (psi - w, 0); the record holds that iterate plus the shift w.
+    # The penalty route's active-set warm start fails on the reduced problem
+    # (psi - w, 0); the record holds its best iterate plus the shift w.
     text = BASE_CONFIG.replace("solver.method = activeset", "solver.method = penalty")
     text = text.replace("forcing.preset = zero", "forcing.preset = constant\nforcing.c = -0.5")
     text += "\nsolver.max_iter = 1\n"
     cfg = write_config(tmp_path, text)
     out = str(tmp_path / "out.json")
     assert main(["solve", "--config", cfg, "--out", out]) == 3
-    assert "solver failure: PSOR did not reach" in capsys.readouterr().err
+    assert "solver failure: active set did not settle in 1 passes" in capsys.readouterr().err
     record = load_record(out)
     run = parse_config_text(text)
     spec = run.build_problem()
     reduced = reduce_to_zero_forcing(spec)
     rspec = ProblemSpec(spec.op, np.maximum(reduced.psi_reduced, 0.0), np.zeros(8))
     with pytest.raises(IterationLimitError) as exc:
-        solve_psor(rspec, run.solver_params)
+        solvers.solve_active_set(rspec, run.solver_params)
     u = exc.value.best.u + reduced.shift
     assert record["solver_id"] == "penalty"
     assert record["converged"] is False and record["iterations"] == 1
@@ -653,9 +680,9 @@ def test_exit_3_penalty_route_records_its_iterate_on_the_real_problem(tmp_path, 
 
 
 def test_exit_3_penalty_newton_records_its_warm_start_on_the_real_problem(tmp_path, capsys):
-    # The PSOR warm start converges; one Newton step cannot reach the stop
-    # test.  The record holds the PSOR solution of the reduced problem plus
-    # the shift w, with the Newton step count.
+    # The active-set warm start converges; one Newton step cannot reach the
+    # stop test.  The record holds the active-set solution of the reduced
+    # problem plus the shift w, with the Newton step count.
     text = BASE_CONFIG.replace("solver.method = activeset", "solver.method = penalty")
     text = text.replace("obstacle.d = 4.0", "obstacle.d = 8.0")
     text = text.replace("forcing.preset = zero", "forcing.preset = constant\nforcing.c = -0.5")
@@ -669,7 +696,7 @@ def test_exit_3_penalty_newton_records_its_warm_start_on_the_real_problem(tmp_pa
     spec = run.build_problem()
     reduced = reduce_to_zero_forcing(spec)
     rspec = ProblemSpec(spec.op, np.maximum(reduced.psi_reduced, 0.0), np.zeros(8))
-    u = solve_psor(rspec, run.solver_params).u + reduced.shift
+    u = solvers.solve_active_set(rspec, run.solver_params).u + reduced.shift
     assert record["solver_id"] == "penalty"
     assert record["converged"] is False and record["iterations"] == 1
     assert record["u"] == u.tolist()
@@ -1113,8 +1140,8 @@ def sweep_rows(path):
         return list(csv.DictReader(fh))
 
 
-def test_epsilon_sweep_runs_one_psor_solve(tmp_path, monkeypatch):
-    calls = count_psor_calls(monkeypatch)
+def test_epsilon_sweep_runs_one_active_set_solve(tmp_path, monkeypatch):
+    calls = count_active_set_calls(monkeypatch)
     text = (DATA_DIR / "golden_sweep.cfg").read_text().replace(
         "sweep.values = 1e-1, 1e-2, 1e-3", "sweep.values = 1e-1, 3e-2, 1e-2, 3e-3")
     cfg = write_config(tmp_path, text)
@@ -1126,14 +1153,14 @@ def test_epsilon_sweep_runs_one_psor_solve(tmp_path, monkeypatch):
     assert len({r["energy"] for r in rows}) == 1
 
 
-def test_epsilon_sweep_psor_failure_gives_every_row_its_error(tmp_path, monkeypatch):
-    calls = count_psor_calls(monkeypatch)
+def test_epsilon_sweep_active_set_failure_gives_every_row_its_error(tmp_path, monkeypatch):
+    calls = count_active_set_calls(monkeypatch)
     text = (DATA_DIR / "golden_sweep.cfg").read_text() + "solver.max_iter = 1\n"
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out.csv"
     assert main(["sweep", "--config", cfg, "--csv", str(out)]) == 3
     assert len(calls) == 3  # a failed solve is not memoised
-    expected = "error: PSOR did not reach tol 1e-10 in 1 sweeps (violation 4.505e-01)"
+    expected = "error: active set did not settle in 1 passes (violation 6.316e-01)"
     assert [r["status"] for r in sweep_rows(out)] == [expected] * 3
 
 
@@ -1150,8 +1177,8 @@ GOLDEN_CASES = {
     # The golden_solve.cfg problem on the s and n axes, each row built apart.
     "sweep-s": ("sweep", "golden_sweep_s.cfg", (), "golden_sweep_s.csv"),
     "sweep-n": ("sweep", "golden_sweep_n.cfg", (), "golden_sweep_n.csv"),
-    # n=300: the FFT matvec, PSOR's column updates and the penalty route's
-    # Newton steps at sizes the n <= 12 goldens above never reach.
+    # n=300: the FFT matvec and the penalty route's active-set warm start
+    # and Newton steps at sizes the n <= 12 goldens above never reach.
     "pg": ("solve", "golden_pg.cfg", ("--solver", "pg"), "golden_pg.json"),
     "sweep-fft": ("sweep", "golden_sweep_fft.cfg", (), "golden_sweep_fft.csv"),
     # n=600: projected gradient on a second FFT length; n=300: the active

@@ -28,7 +28,7 @@ from fracobstacle import (
 )
 from fracobstacle import operator
 
-from conftest import (count_psor_calls, lower_one_free_value, make_op,
+from conftest import (count_active_set_calls, lower_one_free_value, make_op,
                       manufactured_instance, oracle_instance, random_instance)
 
 PARAMS = SolverParams(tol=1e-10)
@@ -662,7 +662,7 @@ def test_strang_preconditioned_cg_iteration_count(s, monkeypatch):
 # --- penalty ---------------------------------------------------------------------
 
 def test_penalty_setup_solved_once_per_operator_obstacle_and_params(monkeypatch):
-    calls = count_psor_calls(monkeypatch)
+    calls = count_active_set_calls(monkeypatch)
     spec = random_instance(31, n=16, s=0.5, nonneg_psi=True, zero_f=True)
     other_psi = ProblemSpec(spec.op, spec.psi + 0.1, spec.f)
     other_params = SolverParams(tol=1e-11)
@@ -685,10 +685,10 @@ def test_penalty_setup_solved_once_per_operator_obstacle_and_params(monkeypatch)
 
 
 def test_penalty_setup_does_not_memoise_iteration_limit(monkeypatch):
-    calls = count_psor_calls(monkeypatch)
+    calls = count_active_set_calls(monkeypatch)
     spec = random_instance(32, n=10, s=0.5, nonneg_psi=True, zero_f=True)
     for _ in range(2):
-        with pytest.raises(IterationLimitError, match="PSOR did not reach"):
+        with pytest.raises(IterationLimitError, match="active set did not settle"):
             solve_penalty(spec, PenaltyParams(epsilon=1e-2), SolverParams(max_iter=1))
     assert len(calls) == 2
 
@@ -734,9 +734,9 @@ def test_penalty_sandwich_violation_raises(monkeypatch):
     solvers._penalty_setup.cache_clear()
     result = solve_penalty(spec, PenaltyParams(epsilon=1e-3), PARAMS)
     lift = float((result.u_eps - result.solution.u).min()) + 100 * PARAMS.tol
-    real = solvers.solve_psor
-    monkeypatch.setattr(solvers, "solve_psor", lambda spec, params: make_solution(
-        spec, real(spec, params).u + lift, 1, "psor", True, params))
+    real = solvers.solve_active_set
+    monkeypatch.setattr(solvers, "solve_active_set", lambda spec, params: make_solution(
+        spec, real(spec, params).u + lift, 1, "active_set", True, params))
     solvers._penalty_setup.cache_clear()
     try:
         with pytest.raises(SolverError, match="penalty sandwich violated: min gap -"):
@@ -765,16 +765,16 @@ def test_penalty_newton_converges_where_picard_stagnated(n, s, eps):
     assert 0.0 < result.damping_used <= 1.0
 
 
-def _psor_best_of_penalty_give_up(spec, exc):
-    """The give-up's best is the PSOR solution of (psi^+, 0), unconverged."""
-    exact = solve_psor(ProblemSpec(spec.op, np.maximum(spec.psi, 0.0), spec.f), PARAMS)
+def _active_set_best_of_penalty_give_up(spec, exc):
+    """The give-up's best is the active-set solution of (psi^+, 0), unconverged."""
+    exact = solve_active_set(ProblemSpec(spec.op, np.maximum(spec.psi, 0.0), spec.f), PARAMS)
     best = exc.value.best
     assert best.solver_id == "penalty" and best.converged is False
     assert best.u.tobytes() == exact.u.tobytes()
     return best
 
 
-def test_penalty_newton_line_search_stall_gives_up_with_the_psor_solution(monkeypatch):
+def test_penalty_newton_line_search_stall_gives_up_with_the_active_set_solution(monkeypatch):
     # A stop threshold 1e-30 times the real one lies below the residual's roundoff,
     # so the line search halves the step until the trial point is the iterate.
     spec = random_instance(95, n=10, nonneg_psi=True, zero_f=True)
@@ -789,14 +789,17 @@ def test_penalty_newton_line_search_stall_gives_up_with_the_psor_solution(monkey
                        match=r"penalty Newton line search stalled at step \d+ "
                              r"\(residual \S+\)$") as exc:
         solve_penalty(spec, PenaltyParams(epsilon=1e-3), PARAMS)
-    best = _psor_best_of_penalty_give_up(spec, exc)
+    best = _active_set_best_of_penalty_give_up(spec, exc)
     assert 1 <= best.iterations <= 20
     assert str(exc.value).startswith(f"penalty Newton line search stalled at step "
                                      f"{best.iterations + 1} ")
 
 
 def test_penalty_newton_gives_up_when_its_jacobian_solve_fails(monkeypatch):
+    # The active set's free blocks run the same PCG, so the warm start is
+    # memoised first: only the Newton step meets the failing one.
     spec = random_instance(96, n=10, nonneg_psi=True, zero_f=True)
+    solve_penalty(spec, PenaltyParams(epsilon=1e-3), PARAMS)
 
     def failing_pcg(*args):
         raise IterationLimitError("preconditioned conjugate gradients did not converge", None)
@@ -805,7 +808,8 @@ def test_penalty_newton_gives_up_when_its_jacobian_solve_fails(monkeypatch):
     with pytest.raises(IterationLimitError, match="^penalty Newton step 1: preconditioned "
                        "conjugate gradients did not converge \\(residual ") as exc:
         solve_penalty(spec, PenaltyParams(epsilon=1e-3), PARAMS)
-    assert _psor_best_of_penalty_give_up(spec, exc).iterations == 0
+    monkeypatch.undo()
+    assert _active_set_best_of_penalty_give_up(spec, exc).iterations == 0
 
 
 def test_penalty_gap_monotone_in_epsilon():
