@@ -27,7 +27,6 @@ import numpy as np
 from .config import _SOLVER_METHODS, ConfigError, RunConfig, parse_config
 from .solvers import (
     SOLVERS,
-    IterationLimitError,
     PenaltyParams,
     ProblemSpec,
     Solution,
@@ -36,7 +35,6 @@ from .solvers import (
     brute_force_oracle,
     kkt_violation,
     make_solution,
-    reduce_to_zero_forcing,
     solve_active_set,
     solve_penalty,
 )
@@ -127,32 +125,16 @@ def run_single(spec: ProblemSpec, method: str, params: SolverParams,
                penalty_params: PenaltyParams | None):
     """Solve with the chosen method; returns (Solution, penalty-extras or None).
 
-    The penalty route reduces to zero forcing first, solves the reduced
-    nonnegative-obstacle problem, and reconstructs the original solution by
-    adding the shift back, to u_eps too and to the best iterate of a failed
-    solve.
+    The extras are the penalty route's record fields, which solve_penalty
+    returns, like its Solution, in the coordinates of spec.
     """
     if method in SOLVERS:
         return SOLVERS[method](spec, params), None
-    reduced = reduce_to_zero_forcing(spec)
-    rspec = ProblemSpec(op=spec.op, psi=reduced.psi_reduced, f=np.zeros(spec.n))
-    try:
-        result = solve_penalty(rspec, penalty_params, params)
-    except IterationLimitError as exc:  # its best is a Solution of rspec
-        exc.best = make_solution(spec, exc.best.u + reduced.shift,
-                                 exc.best.iterations, "penalty", False, params)
-        raise
-    u_full = result.solution.u + reduced.shift
-    sol = make_solution(spec, u_full, result.outer_iterations, "penalty",
-                        True, params)
-    extras = {
-        "epsilon": result.epsilon,
-        "outer_iterations": result.outer_iterations,
-        "damping_used": result.damping_used,
-        "max_gap": float((result.u_eps - result.solution.u).max()),
-        "u_eps": result.u_eps + reduced.shift,
-    }
-    return sol, extras
+    result = solve_penalty(spec, penalty_params, params)
+    extras = {"epsilon": result.epsilon, "outer_iterations": result.outer_iterations,
+              "damping_used": result.damping_used, "max_gap": result.max_gap,
+              "u_eps": result.u_eps}
+    return result.solution, extras
 
 
 def _base_record(command: str, cfg: RunConfig, spec: ProblemSpec) -> dict:

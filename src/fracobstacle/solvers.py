@@ -187,6 +187,7 @@ class PenaltyResult(NamedTuple):
     outer_iterations: int
     epsilon: float
     damping_used: float
+    max_gap: float
 
 
 class ZeroForcingReduction(NamedTuple):
@@ -480,38 +481,47 @@ def _penalty_setup(op: FracLapOperator, psi_plus: bytes, params: SolverParams):
 
 def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None,
                   params: SolverParams | None = None) -> PenaltyResult:
-    """Penalty approximation of the obstacle problem (zero forcing only).
+    """Penalty approximation of the obstacle problem, for any forcing.
 
-    Replaces the constraint by the semilinear equation
+    Solves on the zero-forcing reduction (psi - w, 0), A w = f, of
+    reduce_to_zero_forcing.  With psi^+ = (psi - w)^+ the constraint becomes
+    the semilinear equation
 
         F(v) = A v - theta_eps(v - psi^+) q = 0,   q = (A psi^+)^+,
 
-    solved by Newton's method from the active-set solution u of the
+    solved by Newton's method from the active-set solution u of the reduced
     obstacle problem.  The Jacobian A + diag(g), g = slope(v - psi^+) q >= 0,
     is an SPD M-matrix; each step solves it by conjugate gradients
     preconditioned by the Strang circulant, to PCG_TOL.  The step length t starts at 1 and
     halves until ||F||_2^2 falls to (1 - 1e-4 t) times its value (Armijo);
     damping_used is the smallest t taken.  The exact penalty solution
     brackets u from above: u <= u_eps <= u + eps, and that sandwich is
-    asserted (with slack 10*tol) before returning.
+    asserted (with slack 10*tol) before returning; max_gap is max(u_eps - u).
 
-    Requires f = 0; reduce general forcing with reduce_to_zero_forcing first.
-    Running out of steps (max_outer), a line search whose trial point is
-    the iterate itself, or a failed Jacobian solve raises
-    IterationLimitError with the active-set solution as its best.  A failed
-    active-set solve raises its own IterationLimitError.  That solve and
-    ||A^{-1}||_inf do not depend on eps; see _penalty_setup for how
-    successive calls share them.
+    Every vector comes back in the coordinates of spec, w added: the
+    solution (a "penalty" Solution counting Newton steps), u_eps, and the
+    best iterate of a give-up.  Running out of steps (max_outer), a line
+    search whose trial point is the iterate itself, or a failed Jacobian
+    solve raises IterationLimitError with u as its best.  A failed
+    active-set solve raises its own, its best re-made as an unconverged
+    "penalty" Solution.  That solve and ||A^{-1}||_inf do not depend on
+    eps; see _penalty_setup for how successive calls share them.
     """
     penalty_params = penalty_params or PenaltyParams()
     params = params or SolverParams()
     op = spec.op
-    if np.any(spec.f != 0.0):
-        raise ValueError("solve_penalty requires zero forcing; "
-                         "apply reduce_to_zero_forcing first")
+    psi_reduced, shift = reduce_to_zero_forcing(spec)
+    rspec = ProblemSpec(op=op, psi=psi_reduced, f=np.zeros(spec.n))  # scale-checks psi - w
 
-    psi_plus = np.maximum(spec.psi, 0.0)
-    exact, q, ainv_norm = _penalty_setup(op, psi_plus.tobytes(), params)
+    def in_spec(u, iterations, converged):  # a Solution of rspec's u, shifted to spec
+        return make_solution(spec, u + shift, iterations, "penalty", converged, params)
+
+    psi_plus = np.maximum(rspec.psi, 0.0)
+    try:
+        exact, q, ainv_norm = _penalty_setup(op, psi_plus.tobytes(), params)
+    except IterationLimitError as exc:  # its best is an active-set Solution of rspec
+        exc.best = in_spec(exc.best.u, exc.best.iterations, False)
+        raise
     theta, slope = penalty_params.theta, penalty_params.slope
     eps = penalty_params.epsilon
 
@@ -523,9 +533,8 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
     stop = params.tol / max(ainv_norm, 1e-300)
 
     def give_up(message):  # after it steps, at the residual res
-        return IterationLimitError(
-            f"{message} (residual {np.abs(res).max():.3e})",
-            make_solution(spec, exact.u, it, "penalty", False, params))
+        return IterationLimitError(f"{message} (residual {np.abs(res).max():.3e})",
+                                   in_spec(exact.u, it, False))
 
     u_eps = exact.u.copy()
     res = residual(u_eps)
@@ -558,8 +567,9 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
         raise SolverError(
             "penalty sandwich violated: "
             f"min gap {gap.min():.3e}, max gap {gap.max():.3e}, eps {eps:g}")
-    return PenaltyResult(solution=exact, u_eps=u_eps, outer_iterations=it,
-                         epsilon=eps, damping_used=d)
+    return PenaltyResult(solution=in_spec(exact.u, it, True), u_eps=u_eps + shift,
+                         outer_iterations=it, epsilon=eps, damping_used=d,
+                         max_gap=float(gap.max()))
 
 
 def brute_force_oracle(spec: ProblemSpec, params: SolverParams | None = None) -> Solution:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,13 @@ def lower_one_free_value(monkeypatch):
 
     monkeypatch.setattr(solvers, "_solve_free_block", lowered)
     return iterates
+
+
+def readme_bump_config(n, s):
+    """tests/data/golden_pg.cfg with the README bump (obstacle 0.5 - 8 (x - 0.5)^2,
+    forcing -0.5) at n nodes and order s."""
+    text = (Path(__file__).parent / "data" / "golden_pg.cfg").read_text()
+    for old, new in (("grid.n = 300", f"grid.n = {n}"), ("operator.s = 0.5", f"operator.s = {s}"),
+                     ("obstacle.c = 0.4", "obstacle.c = 0.5"), ("obstacle.d = 3.0", "obstacle.d = 8.0")):
+        text = text.replace(old, new)
+    return text

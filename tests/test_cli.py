@@ -25,7 +25,8 @@ from fracobstacle import (
 from fracobstacle.cli import _fmt_float, _write_json, dumps, main
 from fracobstacle.config import ConfigError, RunConfig, parse_config_text
 
-from conftest import count_active_set_calls, count_psor_calls, lower_one_free_value
+from conftest import (count_active_set_calls, count_psor_calls, lower_one_free_value,
+                      readme_bump_config)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -533,6 +534,15 @@ def test_penalty_route_meets_solver_tol_on_the_readme_bump_at_n512(tmp_path, cap
     summary = capsys.readouterr().out
     assert "solver=penalty" in summary
     assert float(summary.split("kkt_violation=")[1]) <= SolverParams().tol
+
+
+@pytest.mark.xfail(strict=True, reason="penalty Newton stops at ||F||_inf <= tol / ||A^{-1}||_inf, "
+                   "below the roundoff eps D of F at n=4096, s=0.9 (ROADMAP item 20)")
+def test_penalty_route_solves_the_readme_bump_at_n4096(tmp_path):
+    # The line search stalls at step 17 with ||F||_inf = 7.019e-10, at one
+    # and at two BLAS threads.
+    text = readme_bump_config(4096, 0.9)
+    assert main(["solve", "--config", write_config(tmp_path, text), "--solver", "penalty"]) == 0
 
 
 def test_penalty_route_runs_no_psor_solve(tmp_path, monkeypatch):
@@ -1189,6 +1199,9 @@ GOLDEN_CASES = {
     # n=600: the active set's matrix-free free blocks, warm-started over 9 passes.
     "activeset-600": ("solve", "golden_pg_600.cfg", ("--solver", "activeset"),
                       "golden_activeset_600.json"),
+    # n=300: PSOR's column updates over 127 sweeps, where the n <= 12
+    # goldens above run a few.
+    "psor-300": ("solve", "golden_pg.cfg", ("--solver", "psor"), "golden_psor_300.json"),
 }
 
 
@@ -1210,7 +1223,7 @@ def test_cli_run_leaves_out_scipy_linalg(tmp_path, case):
     assert run_python(code, *golden_args(tmp_path, case)).splitlines()[-1] == "0 []"
 
 
-@pytest.mark.parametrize("case", ["sweep-fft", "verify-activeset-300"])
+@pytest.mark.parametrize("case", ["sweep-fft", "verify-activeset-300", "psor-300"])
 def test_golden_record_at_one_blas_thread(tmp_path, case):
     # The n=300 goldens in a fresh process started with one BLAS thread:
     # no result may depend on the thread count.

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -27,9 +28,12 @@ from fracobstacle import (
     solvers,
 )
 from fracobstacle import operator
+from fracobstacle.cli import main
+from fracobstacle.config import parse_config_text
 
 from conftest import (count_active_set_calls, lower_one_free_value, make_op,
-                      manufactured_instance, oracle_instance, random_instance)
+                      manufactured_instance, oracle_instance, random_instance,
+                      readme_bump_config)
 
 PARAMS = SolverParams(tol=1e-10)
 
@@ -236,11 +240,9 @@ def test_inverse_generators_computed_once_per_operator(monkeypatch):
     monkeypatch.setattr(operator, "_pcg", counting_pcg)
     spec = random_instance(21, n=32, s=0.5)
     u = solve_active_set(spec, PARAMS).u
-    reduced = reduce_to_zero_forcing(spec)
     check_lewy_stampacchia(spec, u)
     check_smallest_supersolution(spec, u, samples=20)
-    zero_forcing = ProblemSpec(op=spec.op, psi=reduced.psi_reduced, f=np.zeros(32))
-    solve_penalty(zero_forcing, PenaltyParams(epsilon=1e-2), PARAMS)
+    solve_penalty(spec, PenaltyParams(epsilon=1e-2), PARAMS)  # its reduction solves A w = f
     assert len(calls) == 1
 
 
@@ -669,7 +671,7 @@ def test_penalty_setup_solved_once_per_operator_obstacle_and_params(monkeypatch)
     results = [solve_penalty(spec, PenaltyParams(epsilon=eps), PARAMS)
                for eps in (1e-1, 1e-2, 1e-3)]
     assert len(calls) == 1
-    assert all(r.solution is results[0].solution for r in results)
+    assert all(r.solution.u.tobytes() == results[0].solution.u.tobytes() for r in results)
     solve_penalty(other_psi, PenaltyParams(epsilon=1e-2), PARAMS)
     assert len(calls) == 2
     np.testing.assert_array_equal(calls[1], other_psi.psi)
@@ -681,7 +683,9 @@ def test_penalty_setup_solved_once_per_operator_obstacle_and_params(monkeypatch)
     assert len(calls) == 4
     assert result.u_eps.tobytes() == results[1].u_eps.tobytes()
     # The memoised arrays are read-only, so no caller can alter a later result.
-    assert not result.solution.u.flags.writeable
+    exact, q, _ = solvers._penalty_setup(fresh.op, np.maximum(fresh.psi, 0.0).tobytes(), PARAMS)
+    assert len(calls) == 4
+    assert not any(a.flags.writeable for a in (exact.u, exact.residual, exact.active_set, q))
 
 
 def test_penalty_setup_does_not_memoise_iteration_limit(monkeypatch):
@@ -693,11 +697,26 @@ def test_penalty_setup_does_not_memoise_iteration_limit(monkeypatch):
     assert len(calls) == 2
 
 
-def test_penalty_requires_zero_forcing():
-    spec = random_instance(80, n=8)
-    assert np.any(spec.f != 0)
-    with pytest.raises(ValueError):
-        solve_penalty(spec)
+def test_penalty_takes_any_forcing(tmp_path):
+    # On the README bump (forcing -0.5) the library call answers in the
+    # problem's coordinates: the bits of `solve --solver penalty`'s record.
+    text = readme_bump_config(512, 0.9)
+    cfg_path, out = tmp_path / "bump.cfg", tmp_path / "out.json"
+    cfg_path.write_text(text)
+    assert main(["solve", "--config", str(cfg_path), "--solver", "penalty", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    cfg = parse_config_text(text, {"solver.method": "penalty"})
+    spec = cfg.build_problem()
+    assert np.all(spec.f == -0.5)
+    result = solve_penalty(spec, cfg.penalty_params, cfg.solver_params)
+    sol = result.solution
+    assert (sol.solver_id, sol.converged, sol.iterations) == ("penalty", True, result.outer_iterations)
+    assert record["u"] == sol.u.tolist() and record["residual"] == sol.residual.tolist()
+    assert record["iterations"] == sol.iterations
+    penalty = record["penalty"]
+    assert penalty["u_eps"] == result.u_eps.tolist()
+    assert (penalty["max_gap"], penalty["damping_used"]) == (result.max_gap, result.damping_used)
+    assert np.abs(sol.u - solve_active_set(spec, cfg.solver_params).u).max() <= 1e-13
 
 
 def test_penalty_nonpositive_obstacle_gives_zero():
@@ -745,19 +764,18 @@ def test_penalty_sandwich_violation_raises(monkeypatch):
         solvers._penalty_setup.cache_clear()
 
 
-def _reduced_readme_bump(n, s):
-    """The README bump, forcing -0.5, reduced to zero forcing."""
+def _readme_bump(n, s):
+    """The README bump, forcing -0.5."""
     op = make_op(n=n, s=s)
     x = op.grid.nodes()
-    spec = ProblemSpec(op, 0.5 - 8.0 * (x - 0.5) ** 2, np.full(n, -0.5))
-    return ProblemSpec(op, reduce_to_zero_forcing(spec).psi_reduced, np.zeros(n))
+    return ProblemSpec(op, 0.5 - 8.0 * (x - 0.5) ** 2, np.full(n, -0.5))
 
 
 @pytest.mark.parametrize("n, s, eps", [(64, 0.75, 1e-4), (64, 0.9, 1e-4), (64, 0.95, 1e-4),
                                        (128, 0.9, 1e-3)])
 def test_penalty_newton_converges_where_picard_stagnated(n, s, eps):
     # Damped Picard gave up on each of these after four halvings of its damping.
-    spec = _reduced_readme_bump(n, s)
+    spec = _readme_bump(n, s)
     result = solve_penalty(spec, PenaltyParams(epsilon=eps), PARAMS)
     gap = result.u_eps - result.solution.u
     assert gap.min() >= -10 * PARAMS.tol and gap.max() <= eps + 10 * PARAMS.tol
@@ -823,6 +841,18 @@ def test_penalty_gap_monotone_in_epsilon():
     assert gaps[2] <= gaps[1] + 1e-9
 
 
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
+def test_penalty_solution_nondecreasing_in_epsilon(s):
+    # For eps < eps', theta_eps <= theta_eps' and theta is nonincreasing, so
+    # M-matrix comparison gives u_eps <= u_eps' at every node.  The smallest
+    # gap between consecutive rows is 3.2e-5 (s = 0.9), so no slack is needed.
+    spec = _readme_bump(512, s)
+    u_eps = [solve_penalty(spec, PenaltyParams(epsilon=eps), PARAMS).u_eps
+             for eps in (0.003, 0.01, 0.03, 0.1)]
+    for lower, upper in zip(u_eps, u_eps[1:]):
+        assert (upper - lower).min() >= 0.0
+
+
 # --- oracle ----------------------------------------------------------------------
 
 def test_oracle_trivial_cases():
@@ -878,14 +908,15 @@ def test_all_solvers_agree_on_zero_forcing_instances():
 
 
 def test_all_solvers_agree_on_general_instances():
-    # the penalty route handles general forcing through the zero-forcing
-    # reduction; run_single packages exactly that reconstruction
-    from fracobstacle.cli import run_single
-
+    # the penalty route takes general forcing through its zero-forcing reduction
     for seed in range(5):
         spec = random_instance(seed + 180, n=10)
-        us = [run_single(spec, method, PARAMS, PenaltyParams(epsilon=1e-2))[0].u
-              for method in ("psor", "pg", "activeset", "penalty")]
+        us = [
+            solve_psor(spec, PARAMS).u,
+            solve_projected_gradient(spec, PARAMS).u,
+            solve_active_set(spec, PARAMS).u,
+            solve_penalty(spec, PenaltyParams(epsilon=1e-2), PARAMS).solution.u,
+        ]
         for u in us[1:]:
             assert np.abs(u - us[0]).max() <= 10 * PARAMS.tol
 
