@@ -21,11 +21,9 @@ from .solvers import (
     Solution,
     SolverError,
     SolverParams,
-    ZeroForcingReduction,
     brute_force_oracle,
     kkt_violation,
     make_solution,
-    reduce_to_zero_forcing,
     solve_active_set,
     solve_linear,
     solve_penalty,
@@ -58,14 +56,12 @@ __all__ = [
     "PenaltyParams",
     "Solution",
     "PenaltyResult",
-    "ZeroForcingReduction",
     "SolverError",
     "IterationLimitError",
     "OracleAmbiguityError",
     "kkt_violation",
     "make_solution",
     "solve_linear",
-    "reduce_to_zero_forcing",
     "solve_psor",
     "solve_projected_gradient",
     "solve_active_set",

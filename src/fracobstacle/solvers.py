@@ -19,7 +19,7 @@ operators may run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "PenaltyParams",
     "Solution",
     "PenaltyResult",
-    "ZeroForcingReduction",
     "SolverError",
     "IterationLimitError",
     "OracleAmbiguityError",
@@ -41,7 +40,6 @@ __all__ = [
     "roundoff_tol",
     "make_solution",
     "solve_linear",
-    "reduce_to_zero_forcing",
     "solve_psor",
     "solve_projected_gradient",
     "solve_active_set",
@@ -89,6 +87,8 @@ class ProblemSpec:
     The feasible set K = {v : v >= psi componentwise} is never empty:
     psi^+ is always feasible.  Data whose products would overflow somewhere
     in a solver or a checker is refused with ValueError (see _DATA_SLACK).
+    The data derived from (psi, f) that a solver or a checker needs, shift
+    and ls_bound, is computed on first use and kept, read-only.
     """
 
     op: FracLapOperator
@@ -114,6 +114,25 @@ class ProblemSpec:
     @property
     def n(self) -> int:
         return self.op.grid.n
+
+    @cached_property
+    def shift(self) -> np.ndarray:
+        """w = A^{-1} f, the obstacle-free solution: u solves (psi, f) iff
+        u - w solves the zero-forcing problem (psi - w, 0)."""
+        w = solve_linear(self.op, self.f)
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def ls_bound(self) -> np.ndarray:
+        """(A (psi - w)^+)^+, the Lewy-Stampacchia bound on A u - f.
+
+        It equals (A (psi v w) - f)^+, the classical bound with the obstacle
+        lifted to psi v w, which leaves the solution unchanged; it is also
+        the penalty forcing q of the zero-forcing problem."""
+        bound = np.maximum(self.op.apply(np.maximum(self.psi - self.shift, 0.0)), 0.0)
+        bound.flags.writeable = False
+        return bound
 
     def default_start(self) -> np.ndarray:
         """psi^+, the canonical feasible point."""
@@ -188,11 +207,6 @@ class PenaltyResult(NamedTuple):
     epsilon: float
     damping_used: float
     max_gap: float
-
-
-class ZeroForcingReduction(NamedTuple):
-    psi_reduced: np.ndarray
-    shift: np.ndarray
 
 
 def kkt_violation(spec: ProblemSpec, u: np.ndarray, residual: np.ndarray | None = None):
@@ -275,13 +289,6 @@ def solve_linear(op: FracLapOperator, f) -> np.ndarray:
     tx = np.fft.rfft(np.fft.irfft(gx.conj() * fhat, 2 * n)[..., :n], 2 * n)
     ty = np.fft.rfft(np.fft.irfft(gy.conj() * fhat, 2 * n)[..., :n], 2 * n)
     return np.fft.irfft(gx * tx - gy * ty, 2 * n)[..., :n] / x0
-
-
-def reduce_to_zero_forcing(spec: ProblemSpec) -> ZeroForcingReduction:
-    """Split off the obstacle-free part: u solves (psi, f) iff u - w solves
-    (psi - w, 0), where A w = f.  Returns (psi - w, w)."""
-    shift = solve_linear(spec.op, spec.f)
-    return ZeroForcingReduction(psi_reduced=spec.psi - shift, shift=shift)
 
 
 def solve_psor(spec: ProblemSpec, params: SolverParams | None = None) -> Solution:
@@ -464,39 +471,39 @@ def _penalty_setup(op: FracLapOperator, psi_plus: bytes, params: SolverParams):
     """The part of solve_penalty that does not depend on eps.
 
     Returns the active-set solution of the obstacle problem (psi^+, 0),
-    q = (A psi^+)^+ and ||A^{-1}||_inf, read-only.  The last call is memoised
-    on (operator identity, bits of psi^+, params), so an eps sweep on one
-    operator and obstacle solves once; an IterationLimitError is raised
-    again by every call.
+    read-only, and ||A^{-1}||_inf.  The last call is memoised on (operator
+    identity, bits of psi^+, params), so an eps sweep on one operator and
+    obstacle solves once; an IterationLimitError is raised again by every
+    call.  The forcing q is the spec's own ls_bound.
     """
     n = op.grid.n
     psi_plus = np.frombuffer(psi_plus)
     exact = solve_active_set(ProblemSpec(op=op, psi=psi_plus, f=np.zeros(n)), params)
-    q = np.maximum(op.apply(psi_plus), 0.0)
     ainv_norm = float(solve_linear(op, np.ones(n)).max())  # ||A^{-1}||_inf, A^{-1} > 0
-    for array in (exact.u, exact.residual, exact.active_set, q):
+    for array in (exact.u, exact.residual, exact.active_set):
         array.flags.writeable = False
-    return exact, q, ainv_norm
+    return exact, ainv_norm
 
 
 def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None,
                   params: SolverParams | None = None) -> PenaltyResult:
     """Penalty approximation of the obstacle problem, for any forcing.
 
-    Solves on the zero-forcing reduction (psi - w, 0), A w = f, of
-    reduce_to_zero_forcing.  With psi^+ = (psi - w)^+ the constraint becomes
-    the semilinear equation
+    Solves on the zero-forcing problem (psi - w, 0), w = spec.shift = A^{-1} f.
+    With psi^+ = (psi - w)^+ the constraint becomes the semilinear equation
 
-        F(v) = A v - theta_eps(v - psi^+) q = 0,   q = (A psi^+)^+,
+        F(v) = A v - theta_eps(v - psi^+) q = 0,   q = (A psi^+)^+ = spec.ls_bound,
 
-    solved by Newton's method from the active-set solution u of the reduced
-    obstacle problem.  The Jacobian A + diag(g), g = slope(v - psi^+) q >= 0,
-    is an SPD M-matrix; each step solves it by conjugate gradients
-    preconditioned by the Strang circulant, to PCG_TOL.  The step length t starts at 1 and
-    halves until ||F||_2^2 falls to (1 - 1e-4 t) times its value (Armijo);
-    damping_used is the smallest t taken.  The exact penalty solution
-    brackets u from above: u <= u_eps <= u + eps, and that sandwich is
-    asserted (with slack 10*tol) before returning; max_gap is max(u_eps - u).
+    solved by Newton's method from the active-set solution u of the
+    zero-forcing obstacle problem.  The Jacobian A + diag(g),
+    g = slope(v - psi^+) q >= 0, is an SPD M-matrix; each step solves it by
+    conjugate gradients preconditioned by the Strang circulant, to PCG_TOL.
+    The step length t starts at 1 and halves until ||F||_2^2 falls to
+    (1 - 1e-4 t) times its value (Armijo); damping_used is the smallest t
+    taken.  The exact penalty solution brackets u from above:
+    u <= u_eps <= u + eps, and that sandwich is asserted (with slack 10*tol)
+    before returning; max_gap is max(u_eps - u).  Data psi - w too large
+    for the operator is refused with ValueError, as ProblemSpec refuses it.
 
     Every vector comes back in the coordinates of spec, w added: the
     solution (a "penalty" Solution counting Newton steps), u_eps, and the
@@ -510,18 +517,19 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
     penalty_params = penalty_params or PenaltyParams()
     params = params or SolverParams()
     op = spec.op
-    psi_reduced, shift = reduce_to_zero_forcing(spec)
-    rspec = ProblemSpec(op=op, psi=psi_reduced, f=np.zeros(spec.n))  # scale-checks psi - w
+    shift = spec.shift
+    rspec = ProblemSpec(op=op, psi=spec.psi - shift, f=np.zeros(spec.n))  # scale-checks psi - w
 
     def in_spec(u, iterations, converged):  # a Solution of rspec's u, shifted to spec
         return make_solution(spec, u + shift, iterations, "penalty", converged, params)
 
     psi_plus = np.maximum(rspec.psi, 0.0)
     try:
-        exact, q, ainv_norm = _penalty_setup(op, psi_plus.tobytes(), params)
+        exact, ainv_norm = _penalty_setup(op, psi_plus.tobytes(), params)
     except IterationLimitError as exc:  # its best is an active-set Solution of rspec
         exc.best = in_spec(exc.best.u, exc.best.iterations, False)
         raise
+    q = spec.ls_bound
     theta, slope = penalty_params.theta, penalty_params.slope
     eps = penalty_params.epsilon
 

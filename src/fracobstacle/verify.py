@@ -4,8 +4,9 @@ Each checker turns one theorem about the obstacle problem into a pass/fail
 Report over computed solutions: KKT conditions, the two-sided
 Lewy-Stampacchia residual bound, the Minty variational characterization,
 the smallest-supersolution property, comparison principles in the forcing
-and in the obstacle, sup-norm continuous dependence, sharp zero-forcing
-bounds, and the truncation inequalities of the underlying bilinear form.
+and in the obstacle, sup-norm continuous dependence, the sup-norm bounds
+on the solution, and the truncation inequalities of the underlying
+bilinear form.
 These are exact discrete theorems for the M-matrix discretization, so the
 checkers assert them at tight tolerances; failures indicate solver or
 assembly bugs, not discretization error.
@@ -130,18 +131,15 @@ def check_kkt(spec: ProblemSpec, u, tol: float = 1e-8) -> Report:
 
 
 def check_lewy_stampacchia(spec: ProblemSpec, u, tol: float = 1e-8) -> Report:
-    """Two-sided residual bound 0 <= A u - f <= (A (psi - w_f)^+)^+.
+    """Two-sided residual bound 0 <= A u - f <= spec.ls_bound.
 
-    w_f is the obstacle-free solution A w_f = f; the upper bound equals
-    (A (psi v w_f) - f)^+, the classical bound with the obstacle lifted to
-    psi v w_f, which leaves the solution unchanged.  Decided, like check_kkt,
-    against roundoff_tol(op, u, tol).
+    The bound is (A (psi - w)^+)^+ with w = A^{-1} f, which equals
+    (A (psi v w) - f)^+.  Decided, like check_kkt, against
+    roundoff_tol(op, u, tol).
     """
     u = spec.op.grid.check_vector(u)
-    shift = solve_linear(spec.op, spec.f)
-    bound = np.maximum(spec.op.apply(np.maximum(spec.psi - shift, 0.0)), 0.0)
     r = spec.op.apply(u) - spec.f
-    return _worst("lewy_stampacchia", np.maximum(-r, r - bound),
+    return _worst("lewy_stampacchia", np.maximum(-r, r - spec.ls_bound),
                   roundoff_tol(spec.op, u, tol))
 
 
@@ -221,27 +219,20 @@ def check_linfty_dependence(spec: ProblemSpec, u, psi2, tol: float = 1e-8,
 
 
 def check_bounds_cinfty(spec: ProblemSpec, u, tol: float = 1e-8) -> Report:
-    """Lower bound psi v w_f <= u always; upper bound u <= max psi^+ when
-    f = 0.  For f != 0 the constant in the general upper bound is not
-    explicit, so it is measured and logged, never asserted."""
+    """Sup-norm bounds psi v w <= u <= V, w = A^{-1} f, V = max psi^+ + A^{-1} f^+.
+
+    u >= psi in K, and u >= w since A (u - w) = A u - f >= 0 and
+    A^{-1} >= 0.  V >= psi, and A V - f = (max psi^+) A 1 + f^+ - f >= 0
+    since A 1 > 0, so V is a supersolution in K and u, the smallest one,
+    lies below it: the L-inf estimate
+    ||u||_inf <= ||psi^+||_inf + ||A^{-1}||_inf ||f^+||_inf with an explicit
+    constant.  For f = 0 the bounds read psi^+ <= u <= max psi^+.
+    """
     u = spec.op.grid.check_vector(u)
-    shift = solve_linear(spec.op, spec.f)
-    lower = np.maximum(spec.psi, shift) - u
-    worst = float(lower.max())
-    idx = int(np.argmax(lower))
-    note = ""
-    if np.all(spec.f == 0.0):
-        upper = float(u.max() - np.maximum(spec.psi, 0.0).max())
-        if upper > worst:
-            worst, idx = upper, int(np.argmax(u))
-    else:
-        fplus = float(np.maximum(spec.f, 0.0).max())
-        excess = max(float(u.max()) - float(np.maximum(spec.psi, 0.0).max()), 0.0)
-        ratio = excess / fplus if fplus > 0 else 0.0
-        note = f"measured upper-bound constant (sup norm): {ratio:.6g}"
-    return Report(check_id="bounds_cinfty", passed=worst <= tol,
-                  worst_violation=worst, worst_index_or_sample=idx,
-                  samples=spec.n, seed=0, tol=tol, note=note)
+    upper = (np.maximum(spec.psi, 0.0).max()
+             + solve_linear(spec.op, np.maximum(spec.f, 0.0)))
+    return _worst("bounds_cinfty",
+                  np.maximum(np.maximum(spec.psi, spec.shift) - u, u - upper), tol)
 
 
 def check_truncation_identities(op: FracLapOperator, samples: int = 500,

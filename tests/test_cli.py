@@ -19,8 +19,8 @@ from fracobstacle import (
     SolverParams,
     check_kkt,
     cli,
-    reduce_to_zero_forcing,
     solvers,
+    verify,
 )
 from fracobstacle.cli import _fmt_float, _write_json, dumps, main
 from fracobstacle.config import ConfigError, RunConfig, parse_config_text
@@ -677,11 +677,10 @@ def test_exit_3_penalty_route_records_its_iterate_on_the_real_problem(tmp_path, 
     record = load_record(out)
     run = parse_config_text(text)
     spec = run.build_problem()
-    reduced = reduce_to_zero_forcing(spec)
-    rspec = ProblemSpec(spec.op, np.maximum(reduced.psi_reduced, 0.0), np.zeros(8))
+    rspec = ProblemSpec(spec.op, np.maximum(spec.psi - spec.shift, 0.0), np.zeros(8))
     with pytest.raises(IterationLimitError) as exc:
         solvers.solve_active_set(rspec, run.solver_params)
-    u = exc.value.best.u + reduced.shift
+    u = exc.value.best.u + spec.shift
     assert record["solver_id"] == "penalty"
     assert record["converged"] is False and record["iterations"] == 1
     assert record["u"] == u.tolist()
@@ -704,9 +703,8 @@ def test_exit_3_penalty_newton_records_its_warm_start_on_the_real_problem(tmp_pa
     record = load_record(out)
     run = parse_config_text(text)
     spec = run.build_problem()
-    reduced = reduce_to_zero_forcing(spec)
-    rspec = ProblemSpec(spec.op, np.maximum(reduced.psi_reduced, 0.0), np.zeros(8))
-    u = solvers.solve_active_set(rspec, run.solver_params).u + reduced.shift
+    rspec = ProblemSpec(spec.op, np.maximum(spec.psi - spec.shift, 0.0), np.zeros(8))
+    u = solvers.solve_active_set(rspec, run.solver_params).u + spec.shift
     assert record["solver_id"] == "penalty"
     assert record["converged"] is False and record["iterations"] == 1
     assert record["u"] == u.tolist()
@@ -922,6 +920,35 @@ def test_verify_deterministic_given_seed(tmp_path):
     assert main(["verify", "--config", cfg, "--out", out1, "--seed", "7"]) == 0
     assert main(["verify", "--config", cfg, "--out", out2, "--seed", "7"]) == 0
     assert dumps(strip_timing(load_record(out1))) == dumps(strip_timing(load_record(out2)))
+
+
+def _count_shift_solves(monkeypatch, f):
+    """Wrap solve_linear where the package calls it; returns the list of
+    calls whose right-hand side is the forcing f."""
+    calls = []
+    for module in (solvers, verify):
+        real = module.solve_linear
+        monkeypatch.setattr(module, "solve_linear", lambda op, rhs, real=real: (
+            calls.append(1) if np.array_equal(rhs, f) else None) or real(op, rhs))
+    return calls
+
+
+@pytest.mark.parametrize("command, method, extra", [
+    ("verify", "pg", ""),
+    ("verify", "penalty", ""),
+    ("sweep", "pg", "sweep.axis = epsilon\nsweep.values = 0.1, 0.03, 0.01, 0.003\n"),
+], ids=["verify", "verify-penalty", "epsilon-sweep"])
+def test_shift_solved_once_per_problem(tmp_path, monkeypatch, command, method, extra):
+    # A^{-1} f is the spec's: the Lewy-Stampacchia and sup-norm checkers and
+    # the penalty route of every sweep row read the one solve.
+    text = readme_bump_config(64, 0.5).replace("solver.method = pg", f"solver.method = {method}")
+    text += extra
+    f = parse_config_text(text).build_problem().f
+    calls = _count_shift_solves(monkeypatch, f)
+    cfg = write_config(tmp_path, text)
+    out = {"verify": "--out", "sweep": "--csv"}[command]
+    assert main([command, "--config", cfg, out, str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 # --- sweep -----------------------------------------------------------------------------

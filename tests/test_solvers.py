@@ -19,7 +19,6 @@ from fracobstacle import (
     check_smallest_supersolution,
     kkt_violation,
     make_solution,
-    reduce_to_zero_forcing,
     solve_active_set,
     solve_linear,
     solve_penalty,
@@ -266,32 +265,48 @@ def test_solve_linear_rejects_nonfinite():
         solve_linear(op, np.array([1.0, np.inf, 0.0]))
 
 
-# --- zero-forcing reduction -----------------------------------------------------
+# --- the spec's derived data: shift = A^{-1} f and the Lewy-Stampacchia bound ----------
 
 def test_reduction_identity_for_zero_forcing():
     spec = random_instance(21, zero_f=True)
-    red = reduce_to_zero_forcing(spec)
-    np.testing.assert_array_equal(red.shift, np.zeros(spec.n))
-    np.testing.assert_array_equal(red.psi_reduced, spec.psi)
+    np.testing.assert_array_equal(spec.shift, np.zeros(spec.n))
+    np.testing.assert_array_equal(spec.psi - spec.shift, spec.psi)
 
 
 def test_reduction_obstacle_equal_to_shift():
     op = make_op(n=8)
     f = np.random.default_rng(22).normal(size=8)
-    shift = solve_linear(op, f)
-    spec = ProblemSpec(op, psi=shift, f=f)
-    red = reduce_to_zero_forcing(spec)
-    assert np.abs(red.psi_reduced).max() <= 1e-12
+    spec = ProblemSpec(op, psi=solve_linear(op, f), f=f)
+    assert np.abs(spec.psi - spec.shift).max() <= 1e-12
 
 
 def test_reduction_self_consistency():
     for seed in range(5):
         spec = random_instance(seed + 30)
-        red = reduce_to_zero_forcing(spec)
         direct = solve_psor(spec, PARAMS)
-        reduced_spec = ProblemSpec(spec.op, psi=red.psi_reduced, f=np.zeros(spec.n))
-        via_reduction = solve_psor(reduced_spec, PARAMS).u + red.shift
+        reduced_spec = ProblemSpec(spec.op, psi=spec.psi - spec.shift, f=np.zeros(spec.n))
+        via_reduction = solve_psor(reduced_spec, PARAMS).u + spec.shift
         assert np.abs(direct.u - via_reduction).max() <= 10 * PARAMS.tol
+
+
+@pytest.mark.parametrize("zero_f", [False, True])
+def test_shift_and_ls_bound_are_read_only_and_computed_once(zero_f, monkeypatch):
+    spec = random_instance(23, n=64, s=0.5, zero_f=zero_f)
+    calls = []
+    real = solvers.solve_linear
+    monkeypatch.setattr(solvers, "solve_linear",
+                        lambda op, f: calls.append(f) or real(op, f))
+    w, bound = spec.shift, spec.ls_bound
+    assert spec.shift is w and spec.ls_bound is bound and len(calls) == 1
+    assert calls[0] is spec.f
+    monkeypatch.undo()
+    assert w.tobytes() == solve_linear(spec.op, spec.f).tobytes()
+    expected = np.maximum(spec.op.apply(np.maximum(spec.psi - w, 0.0)), 0.0)
+    assert bound.tobytes() == expected.tobytes()
+    for array in (w, bound):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 # --- PSOR -----------------------------------------------------------------------
@@ -682,10 +697,12 @@ def test_penalty_setup_solved_once_per_operator_obstacle_and_params(monkeypatch)
     result = solve_penalty(fresh, PenaltyParams(epsilon=1e-2), PARAMS)
     assert len(calls) == 4
     assert result.u_eps.tobytes() == results[1].u_eps.tobytes()
-    # The memoised arrays are read-only, so no caller can alter a later result.
-    exact, q, _ = solvers._penalty_setup(fresh.op, np.maximum(fresh.psi, 0.0).tobytes(), PARAMS)
+    # The memoised and the spec's arrays are read-only, so no caller can
+    # alter a later result.
+    exact, _ = solvers._penalty_setup(fresh.op, np.maximum(fresh.psi, 0.0).tobytes(), PARAMS)
     assert len(calls) == 4
-    assert not any(a.flags.writeable for a in (exact.u, exact.residual, exact.active_set, q))
+    assert not any(a.flags.writeable
+                   for a in (exact.u, exact.residual, exact.active_set, fresh.ls_bound))
 
 
 def test_penalty_setup_does_not_memoise_iteration_limit(monkeypatch):
@@ -799,8 +816,8 @@ def test_penalty_newton_line_search_stall_gives_up_with_the_active_set_solution(
     real = solvers._penalty_setup
 
     def below_roundoff(*args):
-        exact, q, ainv_norm = real(*args)
-        return exact, q, 1e30 * ainv_norm
+        exact, ainv_norm = real(*args)
+        return exact, 1e30 * ainv_norm
 
     monkeypatch.setattr(solvers, "_penalty_setup", below_roundoff)
     with pytest.raises(IterationLimitError,

@@ -31,7 +31,8 @@ from fracobstacle.config import parse_config_text
 from fracobstacle.solvers import kkt_violation, roundoff_tol
 from fracobstacle.verify import _worst
 
-from conftest import make_op, manufactured_instance, oracle_instance, random_instance
+from conftest import (make_op, manufactured_instance, oracle_instance, random_instance,
+                      readme_bump_config)
 
 PARAMS = SolverParams(tol=1e-10)
 GOLDEN_VERIFY = (Path(__file__).parent / "data" / "golden_verify.cfg").read_text()
@@ -320,8 +321,47 @@ def test_bounds_lower_dominates_omega_for_nonnegative_forcing():
     omega = solve_linear(op, f)
     assert np.all(sol.u >= omega - 1e-9)
     report = check_bounds_cinfty(spec, sol.u)
-    assert report.passed
-    assert "measured" in report.note
+    assert report.passed and report.note == ""
+    # The upper bound max psi^+ + A^{-1} f^+ holds, and is what fails above it.
+    upper = np.maximum(spec.psi, 0.0).max() + omega
+    assert np.all(sol.u <= upper)
+    k = int(np.argmin(upper - sol.u))
+    u = sol.u.copy()
+    u[k] = upper[k] + 1e-6
+    report = check_bounds_cinfty(spec, u)
+    assert not report.passed and report.worst_index_or_sample == k
+    assert report.worst_violation == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_bounds_upper_fails_above_max_psi_plus_under_negative_forcing():
+    # The README bump, forcing -0.5: f^+ = 0, so u <= max psi^+ at every node.
+    cfg = parse_config_text(readme_bump_config(512, 0.9))
+    spec = cfg.build_problem()
+    u = solve_active_set(spec, cfg.solver_params).u.copy()
+    assert check_bounds_cinfty(spec, u).passed
+    free = np.flatnonzero(u - spec.psi > cfg.solver_params.active_tol)
+    k = int(free[len(free) // 4])
+    u[k] = np.maximum(spec.psi, 0.0).max() + 1e-3
+    report = check_bounds_cinfty(spec, u, tol=1e-8)
+    assert not report.passed and report.worst_index_or_sample == k
+    assert report.worst_violation == pytest.approx(1e-3, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [511, 4095, 16383])
+def test_bounds_upper_on_the_manufactured_instance(n):
+    # f^+ reaches 3.8 to 4.5 here; the bound V = max psi^+ + A^{-1} f^+ sits
+    # 0.37 to 0.38 above the instance's solution u* at its closest node.
+    spec, u, _ = manufactured_instance(n, 0.9)
+    upper = np.maximum(spec.psi, 0.0).max() + solve_linear(spec.op, np.maximum(spec.f, 0.0))
+    assert np.maximum(spec.f, 0.0).max() > 3.0
+    assert (upper - u).min() > 0.3
+    assert check_bounds_cinfty(spec, u).passed
+    k = int(np.argmin(upper - u))
+    u = u.copy()
+    u[k] = upper[k] + 1e-6
+    report = check_bounds_cinfty(spec, u)
+    assert not report.passed and report.worst_index_or_sample == k
+    assert report.worst_violation == pytest.approx(1e-6, rel=1e-6)
 
 
 # --- truncation identities -----------------------------------------------------------
