@@ -87,8 +87,9 @@ class ProblemSpec:
     The feasible set K = {v : v >= psi componentwise} is never empty:
     psi^+ is always feasible.  Data whose products would overflow somewhere
     in a solver or a checker is refused with ValueError (see _DATA_SLACK).
-    The data derived from (psi, f) that a solver or a checker needs, shift
-    and ls_bound, is computed on first use and kept, read-only.
+    psi and f are kept as read-only copies of the caller's arrays, so the
+    data derived from them that a solver or a checker needs, shift and
+    ls_bound, is computed on first use and kept, read-only.
     """
 
     op: FracLapOperator
@@ -96,8 +97,10 @@ class ProblemSpec:
     f: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "psi", self.op.grid.check_vector(self.psi))
-        object.__setattr__(self, "f", self.op.grid.check_vector(self.f))
+        for name in ("psi", "f"):  # read-only copies: shift and ls_bound cannot go stale
+            v = self.op.grid.check_vector(getattr(self, name)).copy()
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
         if not np.isfinite(self.psi).all():
             raise ValueError("obstacle values must be finite")
         if not np.isfinite(self.f).all():

@@ -309,6 +309,21 @@ def test_shift_and_ls_bound_are_read_only_and_computed_once(zero_f, monkeypatch)
             array[0] = 1.0
 
 
+def test_spec_keeps_read_only_copies_of_its_data():
+    # A caller's later write to its own arrays cannot make shift and ls_bound stale.
+    op = make_op(n=12)
+    psi, f = np.full(12, 0.3), np.full(12, -0.5)
+    spec = ProblemSpec(op, psi=psi, f=f)
+    w, bound = spec.shift.copy(), spec.ls_bound.copy()
+    psi[:] = 9.0
+    f[:] = 9.0
+    assert (spec.psi == 0.3).all() and (spec.f == -0.5).all()
+    assert spec.shift.tobytes() == w.tobytes() and spec.ls_bound.tobytes() == bound.tobytes()
+    for array in (spec.psi, spec.f):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
 # --- PSOR -----------------------------------------------------------------------
 
 def test_psor_nonpositive_obstacle_zero_forcing():
