@@ -56,8 +56,9 @@ def _parse_float(raw: str) -> float:
 
 
 def _parse_float_list(raw: str) -> tuple:
-    items = [p.strip() for p in raw.split(",") if p.strip()]
-    if not items:
+    """Finite numbers separated by commas; no entry may be empty (a gap, a trailing comma)."""
+    items = [p.strip() for p in raw.split(",")]
+    if not all(items):
         raise ConfigError("expected a comma-separated list of numbers")
     return tuple(_parse_float(p) for p in items)
 
@@ -271,6 +272,8 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError("sweep.values given without sweep.axis")
 
     values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    if values["seed"] < 0:  # after the overrides: --seed is not parsed here
+        raise ConfigError(f"seed must be a non-negative integer, got {values['seed']}")
 
     prefix_params = lambda prefix: {
         key.split(".", 1)[1]: values[key]

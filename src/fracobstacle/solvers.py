@@ -80,7 +80,7 @@ class OracleAmbiguityError(SolverError):
     """Zero or multiple KKT points within tolerance: degenerate instance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Obstacle psi and forcing f sampled on the operator's grid.
 
@@ -89,7 +89,9 @@ class ProblemSpec:
     in a solver or a checker is refused with ValueError (see _DATA_SLACK).
     psi and f are kept as read-only copies of the caller's arrays, so the
     data derived from them that a solver or a checker needs, shift and
-    ls_bound, is computed on first use and kept, read-only.
+    ls_bound, is computed on first use and kept, read-only.  A problem
+    compares and hashes by identity, as its operator does, so what is
+    memoised on it (see _penalty_setup) is not shared with an equal copy.
     """
 
     op: FracLapOperator
@@ -470,22 +472,20 @@ SOLVERS = {
 
 
 @lru_cache(maxsize=1)
-def _penalty_setup(op: FracLapOperator, psi_plus: bytes, params: SolverParams):
-    """The part of solve_penalty that does not depend on eps.
-
-    Returns the active-set solution of the obstacle problem (psi^+, 0),
-    read-only, and ||A^{-1}||_inf.  The last call is memoised on (operator
-    identity, bits of psi^+, params), so an eps sweep on one operator and
-    obstacle solves once; an IterationLimitError is raised again by every
-    call.  The forcing q is the spec's own ls_bound.
+def _penalty_setup(spec: ProblemSpec, params: SolverParams):
+    """The part of solve_penalty that does not depend on eps: psi^+ =
+    (psi - w)^+ with w = spec.shift, the active-set solution of the
+    zero-forcing problem (psi^+, 0), whose ProblemSpec checks psi^+, and
+    ||A^{-1}||_inf, the arrays read-only.  The last call is memoised on
+    (spec, params), the spec by identity, so an eps sweep on one problem
+    solves once; an IterationLimitError is raised again by every call.
     """
-    n = op.grid.n
-    psi_plus = np.frombuffer(psi_plus)
-    exact = solve_active_set(ProblemSpec(op=op, psi=psi_plus, f=np.zeros(n)), params)
-    ainv_norm = float(solve_linear(op, np.ones(n)).max())  # ||A^{-1}||_inf, A^{-1} > 0
+    zero = ProblemSpec(spec.op, np.maximum(spec.psi - spec.shift, 0.0), np.zeros(spec.n))
+    exact = solve_active_set(zero, params)
+    ainv_norm = float(solve_linear(spec.op, np.ones(spec.n)).max())  # ||A^{-1}||_inf, A^{-1} > 0
     for array in (exact.u, exact.residual, exact.active_set):
         array.flags.writeable = False
-    return exact, ainv_norm
+    return zero.psi, exact, ainv_norm
 
 
 def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None,
@@ -505,8 +505,7 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
     (1 - 1e-4 t) times its value (Armijo); damping_used is the smallest t
     taken.  The exact penalty solution brackets u from above:
     u <= u_eps <= u + eps, and that sandwich is asserted (with slack 10*tol)
-    before returning; max_gap is max(u_eps - u).  Data psi - w too large
-    for the operator is refused with ValueError, as ProblemSpec refuses it.
+    before returning; max_gap is max(u_eps - u).
 
     Every vector comes back in the coordinates of spec, w added: the
     solution (a "penalty" Solution counting Newton steps), u_eps, and the
@@ -515,26 +514,23 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
     solve raises IterationLimitError with u as its best.  A failed
     active-set solve raises its own, its best re-made as an unconverged
     "penalty" Solution.  That solve and ||A^{-1}||_inf do not depend on
-    eps; see _penalty_setup for how successive calls share them.
+    eps; calls on one spec with the same params share them (_penalty_setup).
+    spec's data check covers psi - w: ||w||_inf <= ||f||_inf / (2 tail(n)).
     """
     penalty_params = penalty_params or PenaltyParams()
     params = params or SolverParams()
-    op = spec.op
-    shift = spec.shift
-    rspec = ProblemSpec(op=op, psi=spec.psi - shift, f=np.zeros(spec.n))  # scale-checks psi - w
+    op, shift = spec.op, spec.shift
 
-    def in_spec(u, iterations, converged):  # a Solution of rspec's u, shifted to spec
+    def in_spec(u, iterations, converged):  # a zero-forcing u's Solution, shifted to spec
         return make_solution(spec, u + shift, iterations, "penalty", converged, params)
 
-    psi_plus = np.maximum(rspec.psi, 0.0)
     try:
-        exact, ainv_norm = _penalty_setup(op, psi_plus.tobytes(), params)
-    except IterationLimitError as exc:  # its best is an active-set Solution of rspec
+        psi_plus, exact, ainv_norm = _penalty_setup(spec, params)
+    except IterationLimitError as exc:  # its best is an active-set Solution of (psi^+, 0)
         exc.best = in_spec(exc.best.u, exc.best.iterations, False)
         raise
-    q = spec.ls_bound
+    q, eps = spec.ls_bound, penalty_params.epsilon
     theta, slope = penalty_params.theta, penalty_params.slope
-    eps = penalty_params.epsilon
 
     def residual(v):
         return op.apply(v) - theta(v - psi_plus) * q

@@ -54,6 +54,16 @@ MUTANTS = (
            "np.maximum(-r, r - spec.ls_bound)", "-r",
            ("tests/test_verify.py::test_lewy_stampacchia_detects_violations",
             "tests/test_verify.py::test_lewy_stampacchia_equality_for_constant_obstacle")),
+    Mutant("penalty setup's psi^+ without its positive part", "solvers.py",
+           "np.maximum(spec.psi - spec.shift, 0.0)", "spec.psi - spec.shift",
+           ("tests/test_solvers.py::test_penalty_setup_solves_the_positive_part_of_psi_minus_w",)),
+    Mutant("list parser refusing only an all-empty list", "config.py",
+           "if not all(items):", "if not any(items):",
+           ("tests/test_cli.py::test_config_errors_exit_2",)),
+    Mutant("negative seed accepted", "config.py",
+           'if values["seed"] < 0:', "if False:",
+           ("tests/test_cli.py::test_negative_seed_flag_exits_2_before_any_solve",
+            "tests/test_cli.py::test_config_errors_exit_2")),
     Mutant("Strang symbol times 1.5", "operator.py",
            "symbol = np.fft.rfft(c).real", "symbol = 1.5 * np.fft.rfft(c).real",
            ("tests/test_solvers.py::test_strang_preconditioned_cg_iteration_count",

@@ -202,6 +202,13 @@ CONFIG_ERRORS = {
     "short custom list": (_drop(BASE_CONFIG, ("obstacle.", "grid.n")) + "\ngrid.n = 4\n"
                           "obstacle.preset = custom\nobstacle.values = 1, 2, 3\n",
                           "obstacle.values has 3 entries, grid has 4 nodes"),
+    # An empty entry is an error, not a shorter list.
+    **{case: (_drop(BASE_CONFIG, ("obstacle.", "grid.n")) + "\ngrid.n = 2\n"
+              f"obstacle.preset = custom\nobstacle.values = {values}\n",
+              "key 'obstacle.values': expected a comma-separated list of numbers")
+       for case, values in (("gap in a list", "0.1, , 0.2"), ("trailing comma", "0.1, 0.2,"))},
+    "negative seed": (BASE_CONFIG.replace("seed = 42", "seed = -1"),
+                      "seed must be a non-negative integer, got -1"),
     "s value above 1": (BASE_CONFIG + _SWEEP.format("s", "0.5, 1.5"),
                         "s-axis sweep.values must lie in (0, 1)"),
     "negative epsilon": (BASE_CONFIG + _SWEEP.format("epsilon", "0.1, -0.1"),
@@ -367,6 +374,19 @@ def test_verify_rejects_nonpositive_samples_and_writes_nothing(tmp_path, capsys,
     assert main(["verify", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
     assert f"verify.samples must be at least 1, got {samples}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_negative_seed_flag_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    # --seed replaces the key after the text is parsed, and is checked there
+    # too, before anything is built or solved.
+    solves = []
+    monkeypatch.setattr(fracobstacle.cli, "run_single", lambda *args: solves.append(args))
+    text = (DATA_DIR / "golden_verify.cfg").read_text()
+    out = tmp_path / "out.json"
+    argv = ["verify", "--config", write_config(tmp_path, text), "--out", str(out)]
+    assert main([*argv, "--seed", "-3"]) == 2
+    assert "config error: seed must be a non-negative integer, got -3" in capsys.readouterr().err
+    assert solves == [] and not out.exists()
 
 
 # --- JSON emitter ------------------------------------------------------------------
@@ -949,6 +969,22 @@ def test_shift_solved_once_per_problem(tmp_path, monkeypatch, command, method, e
     out = {"verify": "--out", "sweep": "--csv"}[command]
     assert main([command, "--config", cfg, out, str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+def test_epsilon_sweep_builds_two_problems_and_one_active_set_solve(tmp_path, monkeypatch):
+    # The sweep's problem and the zero-forcing problem (psi^+, 0) of the
+    # penalty route's eps-free setup, which every row shares.
+    built = []
+    post_init = ProblemSpec.__post_init__
+    monkeypatch.setattr(ProblemSpec, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    calls = count_active_set_calls(monkeypatch)
+    text = readme_bump_config(512, 0.5).replace("solver.method = pg", "solver.method = penalty")
+    text += "sweep.axis = epsilon\nsweep.values = 0.1, 0.03, 0.01, 0.003\n"
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--csv", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 5
+    assert (len(built), len(calls)) == (2, 1)
 
 
 # --- sweep -----------------------------------------------------------------------------

@@ -693,7 +693,7 @@ def test_strang_preconditioned_cg_iteration_count(s, monkeypatch):
 
 # --- penalty ---------------------------------------------------------------------
 
-def test_penalty_setup_solved_once_per_operator_obstacle_and_params(monkeypatch):
+def test_penalty_setup_solved_once_per_problem_and_params(monkeypatch):
     calls = count_active_set_calls(monkeypatch)
     spec = random_instance(31, n=16, s=0.5, nonneg_psi=True, zero_f=True)
     other_psi = ProblemSpec(spec.op, spec.psi + 0.1, spec.f)
@@ -707,17 +707,45 @@ def test_penalty_setup_solved_once_per_operator_obstacle_and_params(monkeypatch)
     np.testing.assert_array_equal(calls[1], other_psi.psi)
     solve_penalty(spec, PenaltyParams(epsilon=1e-2), other_params)
     assert len(calls) == 3
-    # An equal operator assembled again is a new operator: no shared memo.
+    # A problem on an equal operator assembled again is a new problem: no
+    # shared memo.
     fresh = ProblemSpec(make_op(n=16, s=0.5), spec.psi, spec.f)
     result = solve_penalty(fresh, PenaltyParams(epsilon=1e-2), PARAMS)
     assert len(calls) == 4
     assert result.u_eps.tobytes() == results[1].u_eps.tobytes()
     # The memoised and the spec's arrays are read-only, so no caller can
     # alter a later result.
-    exact, _ = solvers._penalty_setup(fresh.op, np.maximum(fresh.psi, 0.0).tobytes(), PARAMS)
+    psi_plus, exact, _ = solvers._penalty_setup(fresh, PARAMS)
     assert len(calls) == 4
-    assert not any(a.flags.writeable
-                   for a in (exact.u, exact.residual, exact.active_set, fresh.ls_bound))
+    assert not any(a.flags.writeable for a in (psi_plus, exact.u, exact.residual,
+                                               exact.active_set, fresh.ls_bound))
+
+
+def test_problem_compares_and_hashes_by_identity(monkeypatch):
+    # Two problems with equal data on one operator are two problems: the
+    # penalty route's eps-free solve is memoised on the one it ran for.
+    calls = count_active_set_calls(monkeypatch)
+    spec = random_instance(33, n=12, s=0.5, nonneg_psi=True, zero_f=True)
+    twin = ProblemSpec(spec.op, spec.psi, spec.f)
+    assert spec == spec and spec != twin and len({spec, twin, spec}) == 2
+    results = [solve_penalty(p, PenaltyParams(epsilon=1e-2), PARAMS) for p in (spec, twin, twin)]
+    assert len(calls) == 2
+    assert results[0].u_eps.tobytes() == results[1].u_eps.tobytes()
+
+
+def test_penalty_setup_solves_the_positive_part_of_psi_minus_w(monkeypatch):
+    # Where psi lies below w = A^{-1} f, the zero-forcing problem's obstacle
+    # is 0, not psi - w.
+    calls = count_active_set_calls(monkeypatch)
+    spec = random_instance(34, n=12, s=0.5)
+    psi_plus, exact, _ = solvers._penalty_setup(spec, PARAMS)
+    expected = np.maximum(spec.psi - spec.shift, 0.0)
+    assert expected.min() == 0.0 < expected.max()
+    for obstacle in (psi_plus, *calls):
+        np.testing.assert_array_equal(obstacle, expected)
+    assert len(calls) == 1
+    zero = ProblemSpec(spec.op, expected, np.zeros(12))
+    assert kkt_violation(zero, exact.u)[0] <= PARAMS.tol
 
 
 def test_penalty_setup_does_not_memoise_iteration_limit(monkeypatch):
@@ -831,8 +859,8 @@ def test_penalty_newton_line_search_stall_gives_up_with_the_active_set_solution(
     real = solvers._penalty_setup
 
     def below_roundoff(*args):
-        exact, ainv_norm = real(*args)
-        return exact, 1e30 * ainv_norm
+        psi_plus, exact, ainv_norm = real(*args)
+        return psi_plus, exact, 1e30 * ainv_norm
 
     monkeypatch.setattr(solvers, "_penalty_setup", below_roundoff)
     with pytest.raises(IterationLimitError,
