@@ -186,11 +186,10 @@ def _check_output_path(path: str | None):
 
 def _solver_failure(record: dict, exc: SolverError, cfg: RunConfig, spec: ProblemSpec,
                     started: float, solver_id: str | None = None) -> int:
-    """Write the exit-3 record.  One without a solution gets the failed solve's
-    best Solution, else psi^+ as an unconverged solve of solver_id."""
+    """Write the exit-3 record.  One without a solution gets the best Solution
+    of an IterationLimitError, else psi^+ as an unconverged solve of solver_id."""
     if "u" not in record:
-        best = getattr(exc, "best", None)
-        sol = best if isinstance(best, Solution) else make_solution(
+        sol = getattr(exc, "best", None) or make_solution(
             spec, spec.default_start(), 0, solver_id or cfg.solver_method, False,
             cfg.solver_params)
         record.update(_solution_fields(spec, sol, None))
@@ -308,19 +307,18 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # failure.  Every epsilon shares one problem, so one operator: the penalty
     # solver's eps-free setup (its active-set solve) then runs once.
     if axis == "epsilon":
-        specs = [cfg.build_problem()] * len(values)
+        spec = cfg.build_problem()
+        runs = [(spec, "penalty", dataclasses.replace(cfg.penalty_params, epsilon=float(v)))
+                for v in values]
     else:
-        specs = [cfg.build_problem(s=float(v) if axis == "s" else None,
-                                   n=int(v) if axis == "n" else None) for v in values]
-    method = "penalty" if axis == "epsilon" else cfg.solver_method
+        runs = [(cfg.build_problem(s=float(v) if axis == "s" else None,
+                                   n=int(v) if axis == "n" else None),
+                 cfg.solver_method, cfg.penalty_params) for v in values]
     rows = []
     for value in values:
-        spec = specs.pop(0)  # released with its row, its operator's caches too
+        spec, method, pparams = runs.pop(0)  # released with its row, its operator's caches too
         row = {c: "" for c in SWEEP_COLUMNS}
         row["axis"], row["value"] = axis, value
-        pparams = cfg.penalty_params
-        if axis == "epsilon":
-            pparams = dataclasses.replace(pparams, epsilon=float(value))
         try:
             sol, extras = run_single(spec, method, cfg.solver_params, pparams)
             viol, _ = kkt_violation(spec, sol.u, sol.residual)

@@ -54,24 +54,25 @@ class SolverError(RuntimeError):
 
 
 class IterationLimitError(SolverError):
-    """Solver hit its iteration budget; best is its best Solution, or the last
-    iterate (an array) of a conjugate-gradient solve."""
+    """An obstacle solver hit its budget; best is its best iterate as a
+    solvers.Solution.  A conjugate-gradient solve that runs out raises a
+    plain SolverError instead."""
 
     def __init__(self, message: str, best):
         super().__init__(message)
         self.best = best
 
 
-def _pcg(matvec, precondition, b: np.ndarray, x0: np.ndarray | None,
-         tol: float, max_iter: int) -> np.ndarray:
+def _pcg(matvec, precondition, b: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
     """Preconditioned conjugate gradients for an SPD system M x = b.
 
     Stops once the recursively updated residual satisfies
-    ||b - M x||_2 <= tol ||b||_2.  Starts from x0 when that beats x = 0
+    ||b - M x||_2 <= PCG_TOL ||b||_2.  Starts from x0 when that beats x = 0
     (||b - M x0|| < ||b||), else from 0, and iterates on the system scaled
     by max|b|, so that tiny or huge data neither underflow nor overflow.
-    Raises IterationLimitError, with the last iterate as its best, after
-    max_iter iterations.
+    x = 0 solves b = 0, an empty b included.  Raises SolverError, with no
+    iterate, after PCG_MAX_ITER iterations.  Both constants are read at
+    call time.
     """
     if not b.any():
         return np.zeros_like(b)
@@ -84,11 +85,11 @@ def _pcg(matvec, precondition, b: np.ndarray, x0: np.ndarray | None,
             ry = b - matvec(y)
             if np.linalg.norm(ry) < np.linalg.norm(b):
                 x, r = y, ry
-    stop = tol * np.linalg.norm(b)
-    for it in range(max_iter + 1):
+    stop = PCG_TOL * np.linalg.norm(b)
+    for it in range(PCG_MAX_ITER + 1):
         if np.linalg.norm(r) <= stop:
             return x * scale
-        if it == max_iter:
+        if it == PCG_MAX_ITER:
             break
         z = precondition(r)
         if it:
@@ -100,9 +101,8 @@ def _pcg(matvec, precondition, b: np.ndarray, x0: np.ndarray | None,
         alpha = rz / np.dot(p, q)
         x += alpha * p
         r -= alpha * q
-    raise IterationLimitError(
-        f"preconditioned conjugate gradients did not reach relative residual "
-        f"{tol:g} within {max_iter} iterations", best=x * scale)
+    raise SolverError(f"preconditioned conjugate gradients did not reach relative "
+                      f"residual {PCG_TOL:g} within {PCG_MAX_ITER} iterations")
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ class FracLapOperator:
         n = self.grid.n
         e0 = np.zeros(n)
         e0[0] = 1.0
-        x = _pcg(self.apply, self.strang_solve, e0, None, PCG_TOL, PCG_MAX_ITER)
+        x = _pcg(self.apply, self.strang_solve, e0)
         zy = np.concatenate([[0.0], x[:0:-1]])
         gx, gy = np.fft.rfft(x, 2 * n), np.fft.rfft(zy, 2 * n)
         gx.flags.writeable = gy.flags.writeable = False

@@ -24,8 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operator import (PCG_MAX_ITER, PCG_TOL, FracLapOperator, IterationLimitError,
-                       SolverError, _pcg)
+from .operator import FracLapOperator, IterationLimitError, SolverError, _pcg
 
 __all__ = [
     "ProblemSpec",
@@ -279,10 +278,9 @@ def solve_linear(op: FracLapOperator, f) -> np.ndarray:
     generators x and y = ZJx of op.inverse_generators.  Each product with a
     triangular Toeplitz factor is one length-2n FFT pair along the last
     axis, so each row of a stack gets the bits of its own call.  The first
-    call on an operator computes its generators, and raises
-    IterationLimitError if their conjugate gradients give up.  Since A^{-1}
-    is entrywise positive, f >= 0 implies w >= 0 (discrete weak maximum
-    principle).
+    call on an operator computes its generators, and raises SolverError if
+    their conjugate gradients give up.  Since A^{-1} is entrywise positive,
+    f >= 0 implies w >= 0 (discrete weak maximum principle).
     """
     f = op.grid.check_vectors(f)
     if not np.isfinite(f).all():
@@ -388,11 +386,10 @@ def _solve_free_block(op: FracLapOperator, free: np.ndarray, psi: np.ndarray,
     """The active-set pass iterate: u = psi off F, A_FF u_F = f_F - A_FS psi_S on F.
 
     Conjugate gradients preconditioned by the restricted Strang circulant,
-    on zero-extended FFT matvecs, run to PCG_TOL, warm-started at start_F.
+    on zero-extended FFT matvecs, run to PCG_TOL, warm-started at start_F;
+    an empty F leaves u = psi.  Raises SolverError if they give up.
     """
     u = psi.copy()
-    if not free.any():
-        return u
 
     def extend(x):  # a vector on F to the grid, zero off F
         y = np.zeros(op.grid.n)
@@ -402,7 +399,7 @@ def _solve_free_block(op: FracLapOperator, free: np.ndarray, psi: np.ndarray,
     rhs = (f - op.apply(np.where(free, 0.0, psi)))[free]
     u[free] = _pcg(lambda x: op.apply(extend(x))[free],
                    lambda r: op.strang_solve(extend(r))[free],
-                   rhs, start[free], PCG_TOL, PCG_MAX_ITER)
+                   rhs, start[free])
     return u
 
 
@@ -437,7 +434,7 @@ def solve_active_set(spec: ProblemSpec, params: SolverParams | None = None) -> S
         free = ~active
         try:
             u = _solve_free_block(op, free, psi, f, u)
-        except IterationLimitError as exc:
+        except SolverError as exc:
             raise _iteration_limit(spec, f"active set pass {it}: {exc}", best,
                                    it - 1, "active_set", params) from None
         r = op.apply(u) - f
@@ -552,9 +549,8 @@ def solve_penalty(spec: ProblemSpec, penalty_params: PenaltyParams | None = None
             raise give_up(f"penalty Newton exceeded max_outer={penalty_params.max_outer}")
         g = slope(u_eps - psi_plus) * q
         try:
-            step = _pcg(lambda x: op.apply(x) + g * x, op.strang_solve, res, None,
-                        PCG_TOL, PCG_MAX_ITER)
-        except IterationLimitError as exc:
+            step = _pcg(lambda x: op.apply(x) + g * x, op.strang_solve, res)
+        except SolverError as exc:
             raise give_up(f"penalty Newton step {it + 1}: {exc}") from None
         norm2, t = np.dot(res, res), 1.0
         while True:

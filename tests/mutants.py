@@ -64,6 +64,44 @@ MUTANTS = (
            'if values["seed"] < 0:', "if False:",
            ("tests/test_cli.py::test_negative_seed_flag_exits_2_before_any_solve",
             "tests/test_cli.py::test_config_errors_exit_2")),
+    Mutant("active set dual test at r < -1e-6", "solvers.py",
+           "dual_bad = active & (r < -eps)", "dual_bad = active & (r < -1e-6)",
+           ("tests/test_solvers.py::test_active_set_classifies_a_node_delta_past_the_obstacle"
+            "[True-1e-09]",)),
+    Mutant("active set classification slop 1e-9", "solvers.py",
+           "eps = 1e-12 * (", "eps = 1e-9 * (",
+           ("tests/test_solvers.py::test_active_set_classifies_a_node_delta_past_the_obstacle"
+            "[False-5e-10]",)),
+    Mutant("penalty sandwich slack 1000 tol", "solvers.py",
+           "slack = 10.0 * params.tol", "slack = 1000.0 * params.tol",
+           ("tests/test_solvers.py::test_penalty_sandwich_violation_raises",)),
+    Mutant("active set catching only IterationLimitError from its free block", "solvers.py",
+           "except SolverError as exc:\n"
+           "            raise _iteration_limit(spec, f\"active set pass",
+           "except IterationLimitError as exc:\n"
+           "            raise _iteration_limit(spec, f\"active set pass",
+           ("tests/test_solvers.py::test_active_set_gives_up_when_a_free_block_solve_runs_out",
+            "tests/test_cli.py::test_exit_3_when_an_active_set_free_block_solve_fails")),
+    Mutant("KKT complementarity part halved", "solvers.py",
+           "np.divide(residual * gap,", "np.divide(0.5 * residual * gap,",
+           ("tests/test_solvers.py::test_kkt_violation_matches_looped_reference",)),
+    Mutant("truncation_identities without its strictness condition", "verify.py",
+           "holds=margins.size == 0 or margin > 0.0", "holds=True",
+           ("tests/test_verify.py::test_truncation_identities_fail_without_strictness",)),
+    Mutant("linfty_dependence without its minus side", "verify.py",
+           "worst = max(plus, minus)", "worst = plus",
+           ("tests/test_verify.py::test_linfty_dependence_fails_on_a_u_below_the_solution",)),
+    Mutant("Minty slack times 1e11", "verify.py",
+           "values[chunk] = -pairing - tol * np.sqrt",
+           "values[chunk] = -pairing - 1e11 * tol * np.sqrt",
+           ("tests/test_stacks.py::test_chunked_minty_matches_per_draw_loop",
+            "tests/test_cli.py::test_golden_record[verify]")),
+    Mutant("smallest_supersolution taking min over nodes", "verify.py",
+           "(u - U).max(axis=1)", "(u - U).min(axis=1)",
+           ("tests/test_verify.py::"
+            "test_supersolution_fails_a_u_raised_above_the_solution_at_one_node",
+            "tests/test_stacks.py::test_chunked_supersolution_matches_per_draw_loop",
+            "tests/test_cli.py::test_golden_record[verify]")),
     Mutant("Strang symbol times 1.5", "operator.py",
            "symbol = np.fft.rfft(c).real", "symbol = 1.5 * np.fft.rfft(c).real",
            ("tests/test_solvers.py::test_strang_preconditioned_cg_iteration_count",

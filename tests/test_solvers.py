@@ -35,6 +35,9 @@ from conftest import (count_active_set_calls, lower_one_free_value, make_op,
                       readme_bump_config)
 
 PARAMS = SolverParams(tol=1e-10)
+# The message of a conjugate-gradient solve that runs out of PCG_MAX_ITER = 1.
+PCG_FAIL = ("preconditioned conjugate gradients did not reach relative residual 1e-15 "
+            "within 1 iterations")
 
 
 def assert_reports_best_violation(exc, spec):
@@ -224,6 +227,15 @@ def test_solve_linear_cg_path_above_dense_limit():
     f = rng.normal(size=600)
     w = solve_linear(op, f)
     assert np.linalg.norm(op.apply(w) - f) <= 1e-9 * np.linalg.norm(f)
+
+
+def test_solve_linear_gives_up_with_a_plain_solver_error(monkeypatch):
+    # The inverse generators' conjugate gradients keep no iterate when they
+    # give up: theirs approximates A^{-1} e_0, which answers no A w = f.
+    monkeypatch.setattr(operator, "PCG_MAX_ITER", 1)
+    with pytest.raises(SolverError, match=f"^{PCG_FAIL}$") as exc:
+        solve_linear(make_op(n=32), np.ones(32))
+    assert type(exc.value) is SolverError
 
 
 def test_inverse_generators_computed_once_per_operator(monkeypatch):
@@ -537,6 +549,21 @@ def test_active_set_iteration_limit_carries_best_iterate():
     best = exc.value.best
     assert not best.converged and best.solver_id == "active_set"
     assert assert_reports_best_violation(exc, spec) > PARAMS.tol
+
+
+def test_active_set_gives_up_when_a_free_block_solve_runs_out(monkeypatch):
+    # Pass 1's conjugate gradients run out of their budget: the active set
+    # gives up with its start psi as an unconverged Solution of no passes.
+    monkeypatch.setattr(operator, "PCG_MAX_ITER", 1)
+    spec = bump_instance(64, 0.5)
+    with pytest.raises(IterationLimitError,
+                       match=rf"^active set pass 1: {PCG_FAIL} \(violation ") as exc:
+        solve_active_set(spec, PARAMS)
+    best = exc.value.best
+    assert isinstance(best, Solution) and not best.converged
+    assert best.solver_id == "active_set" and best.iterations == 0
+    assert best.u.tobytes() == spec.psi.tobytes()
+    assert_reports_best_violation(exc, spec)
 
 
 @pytest.mark.parametrize("n", [12, 600])
@@ -880,13 +907,27 @@ def test_penalty_newton_gives_up_when_its_jacobian_solve_fails(monkeypatch):
     solve_penalty(spec, PenaltyParams(epsilon=1e-3), PARAMS)
 
     def failing_pcg(*args):
-        raise IterationLimitError("preconditioned conjugate gradients did not converge", None)
+        raise SolverError("preconditioned conjugate gradients did not converge")
 
     monkeypatch.setattr(solvers, "_pcg", failing_pcg)
     with pytest.raises(IterationLimitError, match="^penalty Newton step 1: preconditioned "
                        "conjugate gradients did not converge \\(residual ") as exc:
         solve_penalty(spec, PenaltyParams(epsilon=1e-3), PARAMS)
     monkeypatch.undo()
+    assert _active_set_best_of_penalty_give_up(spec, exc).iterations == 0
+
+
+def test_penalty_newton_gives_up_when_its_conjugate_gradients_run_out(monkeypatch):
+    # The warm start is memoised with the full budget; a budget of one
+    # iteration then leaves the first Jacobian solve short.
+    spec = random_instance(96, n=10, nonneg_psi=True, zero_f=True)
+    solve_penalty(spec, PenaltyParams(epsilon=1e-3), PARAMS)
+    monkeypatch.setattr(operator, "PCG_MAX_ITER", 1)
+    with pytest.raises(IterationLimitError,
+                       match=rf"^penalty Newton step 1: {PCG_FAIL} \(residual ") as exc:
+        solve_penalty(spec, PenaltyParams(epsilon=1e-3), PARAMS)
+    monkeypatch.undo()
+    assert isinstance(exc.value.best, Solution)
     assert _active_set_best_of_penalty_give_up(spec, exc).iterations == 0
 
 

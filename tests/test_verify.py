@@ -198,6 +198,21 @@ def test_supersolution_inactive_obstacle_equality():
     assert report.passed and not report.inconclusive
 
 
+def test_supersolution_fails_a_u_raised_above_the_solution_at_one_node():
+    # psi lies 1 below A^{-1} f, so every draw U = A^{-1}(f + q), q >= 0, is
+    # a usable supersolution, and the solution lies below each.  A u raised
+    # by 1 at one node lies above some draw there, so it is no smallest
+    # supersolution: the check must fail it.
+    op = make_op(n=12)
+    f = np.random.default_rng(5).normal(size=12)
+    spec = ProblemSpec(op, psi=solve_linear(op, f) - 1.0, f=f)
+    u = solve_active_set(spec, PARAMS).u
+    assert check_smallest_supersolution(spec, u, samples=50, seed=3).passed
+    u[6] += 1.0
+    report = check_smallest_supersolution(spec, u, samples=50, seed=3)
+    assert not report.passed and report.note == "feasible draws: 50/50"
+
+
 def test_supersolution_random_solutions():
     for seed in range(5):
         spec, oracle = oracle_instance(seed + 280, n=10)
