@@ -11,7 +11,7 @@ comparison principles, continuous dependence) as exact discrete properties;
 solve_penalty asserts the penalty sandwich u <= u_eps <= u + eps.
 """
 
-from .operator import FracLapOperator, Grid, assemble_operator, kernel_constant
+from .operator import FracLapOperator, Grid, assemble_operator, kernel_constant, solve_linear
 from .solvers import (
     IterationLimitError,
     OracleAmbiguityError,
@@ -25,7 +25,6 @@ from .solvers import (
     kkt_violation,
     make_solution,
     solve_active_set,
-    solve_linear,
     solve_penalty,
     solve_projected_gradient,
     solve_psor,

@@ -19,7 +19,8 @@ setting, not just asymptotically.
 
 All dualities use the h-weighted Euclidean pairing h * v.w so that energies
 approximate integrals; A itself is stored unweighted and the weight is
-applied at the pairing site.
+applied at the pairing site.  solve_linear solves A w = f, the obstacle-free
+problem, on inverse generators that the operator caches.
 
 Only uniform grids are supported.  No discrete counterpart of boundary
 irregularity is modeled.
@@ -37,9 +38,9 @@ __all__ = [
     "Grid",
     "FracLapOperator",
     "SolverError",
-    "IterationLimitError",
     "kernel_constant",
     "assemble_operator",
+    "solve_linear",
 ]
 
 # Iteration budget of each preconditioned conjugate-gradient solve.
@@ -51,16 +52,6 @@ PCG_TOL = 1e-15
 
 class SolverError(RuntimeError):
     """A solver could not produce a solution meeting its contract."""
-
-
-class IterationLimitError(SolverError):
-    """An obstacle solver hit its budget; best is its best iterate as a
-    solvers.Solution.  A conjugate-gradient solve that runs out raises a
-    plain SolverError instead."""
-
-    def __init__(self, message: str, best):
-        super().__init__(message)
-        self.best = best
 
 
 def _pcg(matvec, precondition, b: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
@@ -175,10 +166,10 @@ class FracLapOperator:
     shareable across threads; apply/energy are pure and reentrant.
 
     The stencil behind column() and dense(), the FFT symbol, the Strang
-    circulant symbol behind strang_solve() and the inverse generators are
-    cached on first use; threads racing on a first use compute identical
-    values, so sharing stays safe.  dense(), the oracles' O(n^2) matrix, is
-    built anew on each call.
+    circulant symbol behind strang_solve() and the inverse generators behind
+    solve_linear() are cached on first use; threads racing on a first use
+    compute identical values, so sharing stays safe.  dense(), the oracles'
+    O(n^2) matrix, is built anew on each call.
     """
 
     grid: Grid
@@ -241,19 +232,10 @@ class FracLapOperator:
         return np.fft.irfft(np.fft.rfft(v) / self.strang_symbol, self.grid.n)
 
     @cached_property
-    def inverse_generators(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """(x_0, rfft(x, 2n), rfft(Z J x, 2n)), read-only, with x = A^{-1} e_0.
-
-        x is the first column of A^{-1}, J reverses and Z shifts down one
-        place.  A is symmetric Toeplitz, so these fix its inverse (Gohberg &
-        Semencul 1972):
-
-            A^{-1} = (L(x) L(x)^T - L(ZJx) L(ZJx)^T) / x_0,
-
-        L(v) the lower triangular Toeplitz matrix with first column v.  x
-        comes from conjugate gradients preconditioned by the Strang
-        circulant, to relative residual PCG_TOL.
-        """
+    def _inverse_generators(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(x_0, rfft(x, 2n), rfft(Z J x, 2n)), read-only: solve_linear's
+        generators, x = A^{-1} e_0 by conjugate gradients preconditioned by
+        the Strang circulant, to relative residual PCG_TOL."""
         n = self.grid.n
         e0 = np.zeros(n)
         e0[0] = 1.0
@@ -301,6 +283,35 @@ class FracLapOperator:
     def lambda_max_bound(self) -> float:
         """Certified upper bound 2D on the spectral radius (Gershgorin)."""
         return 2.0 * self.diag
+
+
+def solve_linear(op: FracLapOperator, f) -> np.ndarray:
+    """Solve A w = f (the obstacle-free problem), or A w_j = f_j for each
+    row of a (k, n) stack, by the Gohberg-Semencul formula.
+
+    A is symmetric Toeplitz, so its inverse is fixed by its first column
+    x = A^{-1} e_0 (Gohberg & Semencul 1972):
+
+        A^{-1} = (L(x) L(x)^T - L(y) L(y)^T) / x_0,   y = Z J x,
+
+    L(v) the lower triangular Toeplitz matrix with first column v, J the
+    reversal and Z the down shift.  The operator caches x_0 and the FFTs of
+    x and y on first use, and raises SolverError if their conjugate
+    gradients give up.  Each product with a triangular Toeplitz factor is
+    one length-2n FFT pair along the last axis, so each row of a stack gets
+    the bits of its own call.  Since A^{-1} is entrywise positive, f >= 0
+    implies w >= 0 (discrete weak maximum principle).
+    """
+    f = op.grid.check_vectors(f)
+    if not np.isfinite(f).all():
+        raise ValueError("right-hand side must be finite")
+    n = op.grid.n
+    x0, gx, gy = op._inverse_generators
+    fhat = np.fft.rfft(f, 2 * n)
+    # L(v)^T f is the correlation of v with f: conj(rfft(v)) rfft(f).
+    tx = np.fft.rfft(np.fft.irfft(gx.conj() * fhat, 2 * n)[..., :n], 2 * n)
+    ty = np.fft.rfft(np.fft.irfft(gy.conj() * fhat, 2 * n)[..., :n], 2 * n)
+    return np.fft.irfft(gx * tx - gy * ty, 2 * n)[..., :n] / x0
 
 
 def assemble_operator(grid: Grid, s: float) -> FracLapOperator:

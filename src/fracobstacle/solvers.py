@@ -1,4 +1,4 @@
-"""Solvers for the discrete obstacle problem and the obstacle-free equation.
+"""Solvers for the discrete obstacle problem.
 
 The discrete obstacle problem is the convex minimization
 
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operator import FracLapOperator, IterationLimitError, SolverError, _pcg
+from .operator import FracLapOperator, SolverError, _pcg, solve_linear
 
 __all__ = [
     "ProblemSpec",
@@ -38,7 +38,6 @@ __all__ = [
     "kkt_violation",
     "roundoff_tol",
     "make_solution",
-    "solve_linear",
     "solve_psor",
     "solve_projected_gradient",
     "solve_active_set",
@@ -73,6 +72,16 @@ ORACLE_MAX_N = 14
 # The oracle keeps candidates with u >= psi and A u - f >= 0 within
 # roundoff_tol(op, u, ORACLE_FEAS_TOL).
 ORACLE_FEAS_TOL = 1e-10
+
+
+class IterationLimitError(SolverError):
+    """An obstacle solver hit its budget; best is its best iterate as a
+    Solution.  A conjugate-gradient solve that runs out raises a plain
+    SolverError instead."""
+
+    def __init__(self, message: str, best: Solution):
+        super().__init__(message)
+        self.best = best
 
 
 class OracleAmbiguityError(SolverError):
@@ -268,30 +277,6 @@ def _iteration_limit(spec: ProblemSpec, message: str, u, iterations: int,
     best = make_solution(spec, u, iterations, solver_id, False, params)
     viol, _ = kkt_violation(spec, best.u, best.residual)
     return IterationLimitError(f"{message} (violation {viol:.3e})", best)
-
-
-def solve_linear(op: FracLapOperator, f) -> np.ndarray:
-    """Solve A w = f (the obstacle-free problem), or A w_j = f_j for each
-    row of a (k, n) stack.
-
-    w = (L(x) L(x)^T f - L(y) L(y)^T f) / x_0 with the Gohberg-Semencul
-    generators x and y = ZJx of op.inverse_generators.  Each product with a
-    triangular Toeplitz factor is one length-2n FFT pair along the last
-    axis, so each row of a stack gets the bits of its own call.  The first
-    call on an operator computes its generators, and raises SolverError if
-    their conjugate gradients give up.  Since A^{-1} is entrywise positive,
-    f >= 0 implies w >= 0 (discrete weak maximum principle).
-    """
-    f = op.grid.check_vectors(f)
-    if not np.isfinite(f).all():
-        raise ValueError("right-hand side must be finite")
-    n = op.grid.n
-    x0, gx, gy = op.inverse_generators
-    fhat = np.fft.rfft(f, 2 * n)
-    # L(v)^T f is the correlation of v with f: conj(rfft(v)) rfft(f).
-    tx = np.fft.rfft(np.fft.irfft(gx.conj() * fhat, 2 * n)[..., :n], 2 * n)
-    ty = np.fft.rfft(np.fft.irfft(gy.conj() * fhat, 2 * n)[..., :n], 2 * n)
-    return np.fft.irfft(gx * tx - gy * ty, 2 * n)[..., :n] / x0
 
 
 def solve_psor(spec: ProblemSpec, params: SolverParams | None = None) -> Solution:

@@ -25,14 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .operator import FracLapOperator
+from .operator import FracLapOperator, solve_linear
 from .solvers import (
     ProblemSpec,
     SolverParams,
     kkt_violation,
     roundoff_tol,
     solve_active_set,
-    solve_linear,
 )
 
 __all__ = [

@@ -102,6 +102,12 @@ MUTANTS = (
             "test_supersolution_fails_a_u_raised_above_the_solution_at_one_node",
             "tests/test_stacks.py::test_chunked_supersolution_matches_per_draw_loop",
             "tests/test_cli.py::test_golden_record[verify]")),
+    Mutant("Gohberg-Semencul difference turned into a sum", "operator.py",
+           "gx * tx - gy * ty", "gx * tx + gy * ty",
+           ("tests/test_solvers.py::test_solve_linear_matches_dense_solve[0.5-100]",)),
+    Mutant("second inverse generator without the reversal J", "operator.py",
+           "zy = np.concatenate([[0.0], x[:0:-1]])", "zy = np.concatenate([[0.0], x[1:]])",
+           ("tests/test_solvers.py::test_solve_linear_matches_dense_solve[0.5-100]",)),
     Mutant("Strang symbol times 1.5", "operator.py",
            "symbol = np.fft.rfft(c).real", "symbol = 1.5 * np.fft.rfft(c).real",
            ("tests/test_solvers.py::test_strang_preconditioned_cg_iteration_count",

@@ -781,7 +781,7 @@ def test_exit_3_when_the_active_set_settles_above_its_gate(tmp_path, capsys, mon
     assert record["error"].startswith("active set settled at pass")
 
 
-def test_solve_active_set_above_dense_limit(tmp_path):
+def test_solve_active_set_at_n600_meets_kkt_on_reload(tmp_path):
     text = BASE_CONFIG.replace("grid.n = 8", "grid.n = 600")
     cfg = write_config(tmp_path, text)
     out = str(tmp_path / "out.json")
